@@ -13,7 +13,7 @@ monomials, and any mismatch convicts the prime.
 from fractions import Fraction
 
 from satura import LEX, SaturationParameters, integer_primitive, lm_agreement_test
-from satura.problems import ProblemInstance, example_monomial_system
+from satura.problems import example_monomial_system
 from satura.saturate import build_saturated_system
 
 inst = example_monomial_system()
@@ -28,10 +28,7 @@ params = SaturationParameters(
     "Q",
 )
 
-ring = inst.ring.with_order(LEX)
-lex_inst = ProblemInstance(inst.name, ring,
-                           tuple(ring.coerce(f) for f in inst.polys))
-system = build_saturated_system(lex_inst, params)
+system = build_saturated_system(inst.with_order(LEX), params)
 print("integer-primitive generators:")
 for g in system.generators:
     print("   ", integer_primitive(g))

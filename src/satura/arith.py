@@ -9,6 +9,7 @@ denominator).
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 
 MODULUS_BITS = 62  # products of two residues must fit comfortably in a double word
 
@@ -211,9 +212,15 @@ def field_from_descriptor(s: str):
     raise ValueError(f"unknown field descriptor {s!r}")
 
 
-def field_inv(a, field):
-    """Multiplicative inverse of a in the given field."""
-    return field.inv(a)
+def primitive_scale(coeffs) -> Fraction:
+    """The positive rational s that makes s*c integer with content 1 over
+    all of the (not all zero) rationals c: lcm of the denominators over
+    gcd of the numerators.  The sign is left to the caller."""
+    den, num = 1, 0
+    for c in coeffs:
+        den = lcm(den, c.denominator)
+        num = gcd(num, c.numerator)
+    return Fraction(den, num)
 
 
 def reduce_rational_mod_p(q: Fraction, p: int) -> int:

@@ -1,7 +1,7 @@
 """Command line front end.
 
 Exit codes: 0 success, 2 validation problems, 3 when a run finished
-but a cell failed (timeout or error), mirroring unfinished-cell
+but a cell or trial failed (timeout or error), mirroring unfinished-cell
 dashes in printed tables; a single g_i query that hits --timeout-s
 reports {"timeout": true} and exits 3 the same way.
 """
@@ -13,9 +13,9 @@ from fractions import Fraction
 
 from .arith import prime_field
 from .bounds import BoundsInput, bezout_bound, bounds_report
-from .groebner import buchberger, ideal_degree, is_zero_dimensional, NotZeroDimensional
-from .harness import (CellTable, _TrialTimeout, _alarm, default_threads,
-                      gi_table, hilbert_table, run_trials)
+from .groebner import buchberger, ideal_degree, is_zero_dimensional
+from .harness import (default_threads, gi_table, hilbert_table, run_capped,
+                      run_trials)
 from .hilbert import emit_certification_system, jde_dimension
 from .poly import order_from_name, polys_from_json, polys_to_json
 from .problems import PROBLEMS, ProblemInstance, conics_pstar_system, get_problem
@@ -37,8 +37,10 @@ def _resolve_problem(spec: str, order_name: str = "grevlex") -> ProblemInstance:
         return ProblemInstance(path, ring, tuple(polys))
     if spec == "conics-pstar":
         polys = conics_pstar_system()
-        return ProblemInstance("conics-pstar", polys[0].ring, tuple(polys))
-    return get_problem(spec)
+        inst = ProblemInstance("conics-pstar", polys[0].ring, tuple(polys))
+    else:
+        inst = get_problem(spec)
+    return inst.with_order(order)
 
 
 def _emit(text: str, out_path: str = None) -> None:
@@ -53,8 +55,9 @@ def _int_list(text: str):
     return [int(x) for x in text.split(",") if x.strip() != ""]
 
 
-def _table_exit(table: CellTable) -> int:
-    return 3 if table.failures else 0
+def _table_exit(run) -> int:
+    """3 when a table cell or a trial failed, else 0."""
+    return 3 if run.failures else 0
 
 
 def _cmd_gb(args) -> int:
@@ -68,7 +71,7 @@ def _cmd_gb(args) -> int:
 
 
 def _cmd_gi(args) -> int:
-    problem = _resolve_problem(args.problem)
+    problem = _resolve_problem(args.problem, args.order)
     i_list = _int_list(args.i)
     p_list = _int_list(args.prime)
     if args.trials and args.trials > 1:
@@ -76,7 +79,7 @@ def _cmd_gi(args) -> int:
                             args.seed, threads=args.threads,
                             timeout_s=args.timeout_s if args.timeout_s else "auto")
         _emit(report.to_csv() if args.format == "csv" else report.to_json(), args.out)
-        return 0
+        return _table_exit(report)
     if len(i_list) > 1 or len(p_list) > 1:
         table = gi_table(problem, i_list, p_list, args.seed,
                          timeout_s=args.timeout_s if args.timeout_s else "auto",
@@ -87,23 +90,22 @@ def _cmd_gi(args) -> int:
     payload = {"value": None, "i": i, "prime": p, "seed": args.seed,
                "elapsed_ms": None, "degenerate": False, "unit": False,
                "timeout": False}
-    code = 0
-    try:
-        with _alarm(args.timeout_s):
-            res = compute_gi(problem, i, prime_field(p), args.seed)
-        payload.update(value=res.value, unit=res.unit,
-                       elapsed_ms=round(res.elapsed * 1000, 3))
-    except _TrialTimeout:
-        payload["timeout"] = True
-        code = 3
-    except NotZeroDimensional:
-        payload["degenerate"] = True
+    out = run_capped(lambda: compute_gi(problem, i, prime_field(p), args.seed),
+                     args.timeout_s)
+    if out.kind == "error":
+        print(f"error: {out.message}", file=sys.stderr)
+        return 2
+    if out.kind == "ok":
+        payload.update(value=out.result.value, unit=out.result.unit,
+                       elapsed_ms=round(out.result.elapsed * 1000, 3))
+    payload["timeout"] = out.kind == "timeout"
+    payload["degenerate"] = out.kind == "degenerate"
     _emit(json.dumps(payload, indent=2), args.out)
-    return code
+    return 3 if payload["timeout"] else 0
 
 
 def _cmd_hilbert(args) -> int:
-    problem = _resolve_problem(args.problem)
+    problem = _resolve_problem(args.problem, args.order)
     table = hilbert_table(problem, _int_list(args.i), args.prime, args.dmax,
                           args.seed,
                           timeout_s=args.timeout_s if args.timeout_s else "auto")
@@ -115,7 +117,7 @@ def _cmd_jde(args) -> int:
     if args.file:
         _, polys = _load_system(args.file, order_from_name(args.order))
     else:
-        polys = list(_resolve_problem(args.problem).polys)
+        polys = list(_resolve_problem(args.problem, args.order).polys)
     dim, bound = jde_dimension(polys, args.d, args.e)
     _emit(json.dumps({"d": args.d, "e": args.e, "dim": dim, "bound": bound},
                      indent=2), args.out)
@@ -123,12 +125,12 @@ def _cmd_jde(args) -> int:
 
 
 def _cmd_trials(args) -> int:
-    problem = _resolve_problem(args.problem)
+    problem = _resolve_problem(args.problem, args.order)
     report = run_trials(problem, args.i, args.prime, args.trials, args.seed,
                         threads=args.threads, reference=args.reference,
                         timeout_s=args.timeout_s if args.timeout_s else "auto")
     _emit(report.to_csv() if args.format == "csv" else report.to_json(), args.out)
-    return 0
+    return _table_exit(report)
 
 
 def _cmd_bounds(args) -> int:

@@ -12,11 +12,9 @@ monomial, which makes them unique for a given ideal and order.
 """
 
 import heapq
-from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
 
-from .arith import RationalField
+from .arith import RationalField, primitive_scale
 from .poly import Polynomial, PolyRing
 
 _WIDTH = 16
@@ -100,13 +98,7 @@ def _from_packed(d: dict, codec: _Codec, ring: PolyRing) -> Polynomial:
 
 def _make_primitive(d: dict) -> None:
     """Rescale rational coefficients in place: integer, content 1, lead > 0."""
-    den = 1
-    for c in d.values():
-        den = lcm(den, c.denominator)
-    num = 0
-    for c in d.values():
-        num = gcd(num, c.numerator)
-    scale = Fraction(den, num)
+    scale = primitive_scale(d.values())
     if d[max(d)] < 0:
         scale = -scale
     for p in d:
@@ -400,11 +392,6 @@ def _autoreduce(work, field, guards, complement, rational):
                     _normalize(h, rational, field)
                 work[i] = h if h else None
     return [d for d in work if d is not None]
-
-
-def leading_monomials(basis) -> list:
-    polys = basis.generators if isinstance(basis, GroebnerBasis) else basis
-    return [g.lm() for g in polys]
 
 
 def is_zero_dimensional(basis: GroebnerBasis) -> bool:

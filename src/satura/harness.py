@@ -14,6 +14,7 @@ import os
 import signal
 import statistics
 import time
+import zlib
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field as dfield
@@ -21,7 +22,8 @@ from typing import Optional
 
 from .arith import prime_field
 from .groebner import NotZeroDimensional, buchberger
-from .hilbert import affine_hilbert_function
+from .hilbert import affine_hilbert_function, require_degree_compatible
+from .poly import polys_to_json
 from .saturate import build_saturated_system, compute_gi, draw_parameters, split_seed
 
 SCHEMA_VERSION = 1
@@ -64,25 +66,46 @@ def _alarm(seconds):
         signal.signal(signal.SIGALRM, old)
 
 
-def _run_one(payload):
-    """One trial, exception-proof; runs in a worker process or inline."""
-    inst, i, p, seed, timeout_s = payload
+@dataclass(frozen=True)
+class Outcome:
+    kind: str          # "ok" | "timeout" | "degenerate" | "error"
+    result: object     # fn's return value when kind is "ok", else None
+    elapsed: float
+    message: str = ""  # the exception text of an "error"
+
+
+def run_capped(fn, timeout_s) -> Outcome:
+    """Call fn() under a wall-clock cap and classify how it ended.
+
+    A NotZeroDimensional is a degenerate draw; any other exception is an
+    error whose message is kept, so a batch or sweep survives it.  The
+    cap uses SIGALRM, which exists on POSIX only and works only in the
+    main thread; a falsy timeout_s runs uncapped.
+    """
     start = time.perf_counter()
     try:
         with _alarm(timeout_s):
-            res = compute_gi(inst, i, prime_field(p), seed)
-        kind = "unit" if res.unit else "value"
-        return {"kind": kind, "value": res.value,
-                "elapsed": time.perf_counter() - start}
+            result = fn()
+        return Outcome("ok", result, time.perf_counter() - start)
     except _TrialTimeout:
-        return {"kind": "timeout", "value": None,
-                "elapsed": time.perf_counter() - start}
+        kind, message = "timeout", ""
     except NotZeroDimensional:
-        return {"kind": "degenerate", "value": None,
-                "elapsed": time.perf_counter() - start}
+        kind, message = "degenerate", ""
     except Exception as exc:  # crash bucket; batch must survive
-        return {"kind": "error", "value": None, "message": str(exc),
-                "elapsed": time.perf_counter() - start}
+        kind, message = "error", str(exc)
+    return Outcome(kind, None, time.perf_counter() - start, message)
+
+
+def _run_one(payload):
+    """One trial, exception-proof; runs in a worker process or inline."""
+    inst, i, p, seed, timeout_s = payload
+    out = run_capped(lambda: compute_gi(inst, i, prime_field(p), seed),
+                     timeout_s)
+    kind, value = out.kind, None
+    if kind == "ok":
+        kind = "unit" if out.result.unit else "value"
+        value = out.result.value
+    return {"kind": kind, "value": value, "elapsed": out.elapsed}
 
 
 @dataclass(frozen=True)
@@ -102,6 +125,11 @@ class TrialReport:
     @property
     def success_fraction(self) -> float:
         return self.successes / self.trials if self.trials else 0.0
+
+    @property
+    def failures(self) -> int:
+        """Trials that did not finish: the error and timeout buckets."""
+        return self.histogram.get("error", 0) + self.histogram.get("timeout", 0)
 
     def to_dict(self) -> dict:
         return {
@@ -234,19 +262,40 @@ class CellTable:
         return None
 
 
-def _load_checkpoint(path) -> dict:
-    if path and os.path.exists(path):
-        with open(path) as fh:
-            return {tuple(k.split("|")): v for k, v in json.load(fh).items()}
-    return {}
+def _checkpoint_header(problem, seed: int) -> dict:
+    """What a checkpoint's cells depend on besides (i, prime).
+
+    The system is identified by CRC-32, which is enough to catch a file
+    from another run; hashlib would load OpenSSL, about 3.5 MB more
+    resident memory in every process that imports satura.
+    """
+    system = json.dumps(polys_to_json(list(problem.polys)), sort_keys=True)
+    return {"schema_version": SCHEMA_VERSION,
+            "problem": getattr(problem, "name", str(problem)),
+            "system_crc32": zlib.crc32(system.encode()),
+            "seed": seed}
 
 
-def _save_checkpoint(path, done: dict) -> None:
+def _load_checkpoint(path, header: dict) -> dict:
+    """Finished cells from path; refuses a file written for another run."""
+    if not (path and os.path.exists(path)):
+        return {}
+    with open(path) as fh:
+        stored = json.load(fh)
+    if stored.get("header") != header:
+        raise ValueError(
+            f"checkpoint {path} was not written for this problem, system "
+            f"and seed ({stored.get('header')} != {header})")
+    return {tuple(k.split("|")): v for k, v in stored["cells"].items()}
+
+
+def _save_checkpoint(path, header: dict, done: dict) -> None:
     if not path:
         return
     tmp = f"{path}.tmp"
     with open(tmp, "w") as fh:
-        json.dump({"|".join(k): v for k, v in done.items()}, fh)
+        json.dump({"header": header,
+                   "cells": {"|".join(k): v for k, v in done.items()}}, fh)
     os.replace(tmp, path)
 
 
@@ -257,7 +306,8 @@ def gi_table(problem, i_list, prime_list, seed: int, timeout_s="auto",
     A timed-out cell records value "-", matching the usual convention
     for runs that failed to finish.
     """
-    done = _load_checkpoint(checkpoint)
+    header = _checkpoint_header(problem, seed)
+    done = _load_checkpoint(checkpoint, header)
     cells = []
     for i in i_list:
         for p in prime_list:
@@ -279,7 +329,7 @@ def gi_table(problem, i_list, prime_list, seed: int, timeout_s="auto",
                 cell["value"] = "-"
                 cell["outcome"] = out["kind"]
             done[key] = cell
-            _save_checkpoint(checkpoint, done)
+            _save_checkpoint(checkpoint, header, done)
             cells.append(cell)
     return CellTable("gi_table", getattr(problem, "name", str(problem)),
                      seed, tuple(cells))
@@ -288,30 +338,29 @@ def gi_table(problem, i_list, prime_list, seed: int, timeout_s="auto",
 def hilbert_table(problem, i_list, p: int, d_max: int, seed: int,
                   timeout_s="auto") -> CellTable:
     """Affine Hilbert function rows, one per i, at a single prime."""
+    require_degree_compatible(problem.ring)
     cells = []
     for i in i_list:
         cell_seed = split_seed(split_seed(seed, i), p)
         cap = _default_timeout(i) if timeout_s == "auto" else timeout_s
-        start = time.perf_counter()
-        try:
-            with _alarm(cap):
-                params = draw_parameters(i, problem.n, problem.r,
-                                         prime_field(p), cell_seed)
-                basis = buchberger(build_saturated_system(problem, params).generators)
-                prof = affine_hilbert_function(basis, d_max)
-            cell = {"i": i, "prime": p, "seed": cell_seed,
-                    "value": list(prof.row()),
-                    "stabilized_at": prof.stabilized_at,
-                    "stable_value": prof.stable_value,
-                    "elapsed": round(time.perf_counter() - start, 3)}
-        except _TrialTimeout:
-            cell = {"i": i, "prime": p, "seed": cell_seed, "value": "-",
-                    "outcome": "timeout",
-                    "elapsed": round(time.perf_counter() - start, 3)}
-        except Exception as exc:
-            cell = {"i": i, "prime": p, "seed": cell_seed, "value": "-",
-                    "outcome": "error", "message": str(exc),
-                    "elapsed": round(time.perf_counter() - start, 3)}
+
+        def row():
+            params = draw_parameters(i, problem.n, problem.r, prime_field(p),
+                                     cell_seed)
+            basis = buchberger(build_saturated_system(problem, params).generators)
+            return affine_hilbert_function(basis, d_max)
+
+        out = run_capped(row, cap)
+        cell = {"i": i, "prime": p, "seed": cell_seed}
+        if out.kind == "ok":
+            cell.update(value=list(out.result.row()),
+                        stabilized_at=out.result.stabilized_at,
+                        stable_value=out.result.stable_value)
+        else:
+            cell.update(value="-", outcome=out.kind)
+            if out.kind == "error":
+                cell["message"] = out.message
+        cell["elapsed"] = round(out.elapsed, 3)
         cells.append(cell)
     return CellTable("hilbert_table", getattr(problem, "name", str(problem)),
                      seed, tuple(cells))

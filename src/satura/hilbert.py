@@ -13,14 +13,14 @@ itself.
 import json
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd
+from math import comb, gcd, lcm
 from typing import Optional
 
 from .arith import PrimeField, RationalField
 from .groebner import GroebnerBasis
-from .poly import PolyRing, mono_divides, mono_mul, polys_to_json
+from .poly import (PolyRing, exact_degree_monomials, mono_divides, mono_mul,
+                   polys_to_json)
 
 
 class OrderNotDegreeCompatible(ValueError):
@@ -77,6 +77,13 @@ def _standard_monomial_degrees(lms, n, d_max):
     return degrees
 
 
+def require_degree_compatible(ring: PolyRing) -> None:
+    """Raise OrderNotDegreeCompatible unless the ring's order refines degree."""
+    if not ring.order.degree_compatible:
+        raise OrderNotDegreeCompatible(
+            f"{ring.order.name} does not refine total degree")
+
+
 def affine_hilbert_function(basis: GroebnerBasis, d_max: int) -> HilbertProfile:
     """HF(d) for d in [0, d_max], with plateau detection.
 
@@ -84,9 +91,7 @@ def affine_hilbert_function(basis: GroebnerBasis, d_max: int) -> HilbertProfile:
     standard divisor of degree d, so one flat step means flat forever.
     """
     ring = basis.ring
-    if not ring.order.degree_compatible:
-        raise OrderNotDegreeCompatible(
-            f"{ring.order.name} does not refine total degree")
+    require_degree_compatible(ring)
     if d_max < 0:
         raise ValueError("d_max must be non-negative")
     lms = basis.leading_monomials
@@ -112,23 +117,13 @@ def affine_hilbert_function(basis: GroebnerBasis, d_max: int) -> HilbertProfile:
     return HilbertProfile(values, stabilized_at, stable)
 
 
-def _exact_degree_monomials(n, deg):
-    """All exponent tuples of total degree deg, generated recursively."""
-    if n == 1:
-        yield (deg,)
-        return
-    for e in range(deg + 1):
-        for rest in _exact_degree_monomials(n - 1, deg - e):
-            yield (e,) + rest
-
-
 @lru_cache(maxsize=None)
 def monomial_columns(n: int, d: int) -> tuple:
     """Canonical enumeration: ascending degree, descending lex inside
     a degree block.  Length C(n+d, d)."""
     out = []
     for deg in range(d + 1):
-        block = sorted(_exact_degree_monomials(n, deg), reverse=True)
+        block = sorted(exact_degree_monomials(n, deg), reverse=True)
         out.extend(block)
     return tuple(out)
 
@@ -144,9 +139,33 @@ def _strip_content(row: dict) -> None:
             row[k] //= g
 
 
-def _echelon_insert(pivots: dict, row: dict) -> Optional[int]:
-    """Reduce one integer row against the pivot rows in place; register
-    and return its pivot column, or None when it vanishes.
+def _echelon_insert(pivots: dict, row: dict, field) -> Optional[int]:
+    """Reduce one sparse row {column: entry} against the pivot rows;
+    register and return its pivot column, or None when it vanishes.
+
+    Over Q the row is cleared of denominators and eliminated on integers,
+    which keeps entries far smaller than Fraction arithmetic would; over
+    F_p it goes to the field kernel.  The rank is len(pivots).
+    """
+    if isinstance(field, RationalField):
+        den = 1
+        for v in row.values():
+            den = lcm(den, v.denominator)
+        row = {k: int(v * den) for k, v in row.items()}
+        return _echelon_insert_int(pivots, row)
+    return _echelon_insert_field(pivots, row, field)
+
+
+def _rank(rows, field) -> int:
+    """Exact rank of dense rows of field elements."""
+    pivots = {}
+    for row in rows:
+        _echelon_insert(pivots, {j: v for j, v in enumerate(row) if v}, field)
+    return len(pivots)
+
+
+def _echelon_insert_int(pivots: dict, row: dict) -> Optional[int]:
+    """Integer kernel of _echelon_insert.
 
     Fraction-free: cross-multiply with the minimal factors and strip the
     gcd afterwards so entries stay small.
@@ -177,6 +196,25 @@ def _echelon_insert(pivots: dict, row: dict) -> Optional[int]:
     return None
 
 
+def _echelon_insert_field(pivots: dict, row: dict, field) -> Optional[int]:
+    """Prime-field kernel of _echelon_insert; pivot rows are monic."""
+    while row:
+        col = min(row)
+        piv = pivots.get(col)
+        if piv is None:
+            inv = field.inv(row[col])
+            pivots[col] = {k: field.mul(v, inv) for k, v in row.items()}
+            return col
+        c = row[col]
+        for k, v in piv.items():
+            nv = field.sub(row.get(k, field.zero), field.mul(c, v))
+            if nv:
+                row[k] = nv
+            else:
+                row.pop(k, None)
+    return None
+
+
 def jde_dimension(h, d: int, e: int):
     """dim of the degree-<=d slice of the span of all m*h_i with
     deg(m*h_i) <= d+e, and the Hilbert upper bound C(n+d,d) - dim.
@@ -193,48 +231,22 @@ def jde_dimension(h, d: int, e: int):
     n = ring.nvars
     D = d + e
     cols = sorted(
-        {m for deg in range(D + 1) for m in _exact_degree_monomials(n, deg)},
+        {m for deg in range(D + 1) for m in exact_degree_monomials(n, deg)},
         key=lambda m: (-sum(m), ring.key(m)))
     index = {m: j for j, m in enumerate(cols)}
     low_start = next((j for j, m in enumerate(cols) if sum(m) <= d), len(cols))
 
-    rational = isinstance(ring.field, RationalField)
     pivots = {}
     for f in h:
         df = f.degree()
         if df > D:
             continue
         for deg in range(D - df + 1):
-            for m in _exact_degree_monomials(n, deg):
+            for m in exact_degree_monomials(n, deg):
                 row = {index[mono_mul(fm, m)]: c for fm, c in f.terms}
-                if rational:
-                    den = 1
-                    for v in row.values():
-                        den = den * v.denominator // gcd(den, v.denominator)
-                    row = {k: int(v * den) for k, v in row.items()}
-                    _echelon_insert(pivots, row)
-                else:
-                    _echelon_insert_field(pivots, row, ring.field)
+                _echelon_insert(pivots, row, ring.field)
     dim = sum(1 for c in pivots if c >= low_start)
     return dim, comb(n + d, d) - dim
-
-
-def _echelon_insert_field(pivots: dict, row: dict, field) -> Optional[int]:
-    while row:
-        col = min(row)
-        piv = pivots.get(col)
-        if piv is None:
-            inv = field.inv(row[col])
-            pivots[col] = {k: field.mul(v, inv) for k, v in row.items()}
-            return col
-        c = row[col]
-        for k, v in piv.items():
-            nv = field.sub(row.get(k, field.zero), field.mul(c, v))
-            if nv:
-                row[k] = nv
-            else:
-                row.pop(k, None)
-    return None
 
 
 @dataclass(frozen=True)
@@ -258,51 +270,21 @@ def veronese_matrix(points, d: int, field) -> VeroneseMatrix:
     if any(len(pt) != n for pt in points):
         raise ValueError("points of mixed dimension")
     cols = monomial_columns(n, d)
+    rows = tuple(_evaluate_monomials(pt, cols, field) for pt in points)
+    return VeroneseMatrix(tuple(points), d, cols, rows)
+
+
+def _evaluate_monomials(pt, monomials, field) -> tuple:
+    """The value of each monomial at the point, as field elements."""
     modulus = getattr(field, "p", None)
-    rows = []
-    for pt in points:
-        row = []
-        for m in cols:
-            v = field.one if modulus else Fraction(1)
-            for x, exp in zip(pt, m):
-                if exp:
-                    v = v * pow(x, exp, modulus) if modulus else v * x ** exp
-                    if modulus:
-                        v %= modulus
-            row.append(v)
-        rows.append(tuple(row))
-    return VeroneseMatrix(tuple(points), d, cols, tuple(rows))
-
-
-def _dense_rank(rows, field) -> int:
-    """Exact row reduction; works for prime fields and rationals."""
-    rows = [list(r) for r in rows]
-    ncols = len(rows[0]) if rows else 0
-    modular = isinstance(field, PrimeField)
-    rank, rpos = 0, 0
-    for col in range(ncols):
-        piv = next((k for k in range(rpos, len(rows)) if rows[k][col]), None)
-        if piv is None:
-            continue
-        rows[rpos], rows[piv] = rows[piv], rows[rpos]
-        inv = field.inv(rows[rpos][col]) if modular else 1 / rows[rpos][col]
-        if modular:
-            rows[rpos] = [field.mul(v, inv) for v in rows[rpos]]
-        else:
-            rows[rpos] = [v * inv for v in rows[rpos]]
-        for k in range(len(rows)):
-            if k != rpos and rows[k][col]:
-                c = rows[k][col]
-                if modular:
-                    rows[k] = [field.sub(u, field.mul(c, v))
-                               for u, v in zip(rows[k], rows[rpos])]
-                else:
-                    rows[k] = [u - c * v for u, v in zip(rows[k], rows[rpos])]
-        rank += 1
-        rpos += 1
-        if rpos == len(rows):
-            break
-    return rank
+    row = []
+    for m in monomials:
+        v = field.one
+        for x, exp in zip(pt, m):
+            if exp:
+                v = v * pow(x, exp, modulus) % modulus if modulus else v * x ** exp
+        row.append(v)
+    return tuple(row)
 
 
 def veronese_rank_lower_bound(points, d: int, field) -> int:
@@ -316,8 +298,7 @@ def veronese_rank_lower_bound(points, d: int, field) -> int:
             continue
         seen.add(key)
         unique.append(key)
-    M = veronese_matrix(unique, d, field)
-    return _dense_rank(M.entries, field)
+    return _rank(veronese_matrix(unique, d, field).entries, field)
 
 
 def find_points_bruteforce(system, budget: int = 10 ** 7) -> list:
@@ -386,20 +367,8 @@ def emit_certification_system(system, points, d: int, columns) -> CertificationS
         if len(m) != n or sum(m) > d:
             raise ValueError(f"column {m} is not a degree-<={d} monomial")
     # invertibility of S_d at the points, checked exactly
-    S = []
-    modulus = getattr(field, "p", None)
-    for pt in points:
-        row = []
-        for m in columns:
-            v = field.one if modulus else Fraction(1)
-            for x, exp in zip(pt, m):
-                if exp:
-                    v = v * pow(x, exp, modulus) if modulus else v * x ** exp
-                    if modulus:
-                        v %= modulus
-            row.append(v)
-        S.append(row)
-    if _dense_rank(S, field) != k:
+    S = [_evaluate_monomials(pt, columns, field) for pt in points]
+    if _rank(S, field) != k:
         raise SingularSubmatrix(
             "selected columns are singular at the points; choose others")
 
@@ -407,7 +376,6 @@ def emit_certification_system(system, points, d: int, columns) -> CertificationS
     names += [f"L{i + 1}_{j + 1}" for i in range(k) for j in range(k)]
     big = PolyRing(names, field, ring.order)
     nv = len(names)
-    one = field.one if modulus else Fraction(1)
 
     gens = []
     for i in range(k):
@@ -433,7 +401,7 @@ def emit_certification_system(system, points, d: int, columns) -> CertificationS
                 exps[lam_base + i * k + l] = 1
                 for t, e in enumerate(columns[j]):
                     exps[l * n + t] = e
-                terms.append((tuple(exps), one))
+                terms.append((tuple(exps), field.one))
             gens.append(big.poly(terms))
     assert len(gens) == k * n + k * k
     return CertificationSystem(tuple(gens), tuple(columns), tuple(tuple(pt) for pt in points), d)

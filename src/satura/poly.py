@@ -416,23 +416,24 @@ class Polynomial:
         return f"<{print_polynomial(self)}>"
 
 
+def exact_degree_monomials(n: int, deg: int):
+    """All exponent tuples of n variables and total degree deg, generated
+    recursively with the first exponent ascending."""
+    if n == 1:
+        yield (deg,)
+        return
+    for e in range(deg + 1):
+        for rest in exact_degree_monomials(n - 1, deg - e):
+            yield (e,) + rest
+
+
 def monomials_up_to_degree(n: int, d: int, order=GREVLEX) -> list:
     """All exponent tuples of total degree <= d, sorted descending."""
     if n < 1 or d < 0:
         raise ValueError("need n >= 1 and d >= 0")
-    out = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            for e in range(remaining + 1):
-                out.append(prefix + (e,))
-            return
-        for e in range(remaining + 1):
-            rec(prefix + (e,), remaining - e, slots - 1)
-
-    rec((), d, n)
-    out.sort(key=order.key, reverse=True)
-    return out
+    return sorted((m for deg in range(d + 1)
+                   for m in exact_degree_monomials(n, deg)),
+                  key=order.key, reverse=True)
 
 
 # --- text format ----------------------------------------------------------

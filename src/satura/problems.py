@@ -15,7 +15,8 @@ from dataclasses import dataclass, field as dfield
 from fractions import Fraction
 from functools import lru_cache
 
-from .arith import QQ, RationalField
+from .arith import QQ, RationalField, primitive_scale
+from .groebner import buchberger
 from .poly import GREVLEX, PolyRing, Polynomial
 
 
@@ -45,17 +46,23 @@ class ProblemInstance:
     def degrees(self) -> tuple:
         return tuple(f.degree() for f in self.polys)
 
+    def with_order(self, order) -> "ProblemInstance":
+        """The same instance with its polynomials and base locus re-sorted
+        under another monomial order."""
+        if order.name == self.ring.order.name:
+            return self
+        ring = self.ring.with_order(order)
+        locus = tuple(tuple(ring.coerce(g) for g in space)
+                      for space in self.base_locus)
+        return ProblemInstance(self.name, ring,
+                               tuple(ring.coerce(f) for f in self.polys),
+                               locus, self.conj_pairs)
+
 
 def _check_primitive(f: Polynomial) -> Polynomial:
-    from math import gcd
-
-    g = 0
-    for _, c in f.terms:
-        if c.denominator != 1:
-            raise ValueError(f"non-integer coefficient in {f}")
-        g = gcd(g, c.numerator)
-    if g != 1:
-        raise ValueError(f"content {g} != 1 in transcription")
+    """f itself when its coefficients are integers with content 1."""
+    if f.is_zero() or primitive_scale(c for _, c in f.terms) != 1:
+        raise ValueError(f"transcription {f} is not integer with content 1")
     return f
 
 
@@ -255,51 +262,20 @@ class BaseLocusReport:
 
 def _space_parameterization(ring: PolyRing, equations) -> list:
     """Solve the linear equations: pivot variables become polynomials in
-    the free ones, so substitution sweeps the whole linear space."""
-    n = ring.nvars
-    rows = []
+    the free ones, so substitution sweeps the whole linear space.
+
+    The reduced Groebner basis of linear equations is their reduced row
+    echelon form: each element is x_j - (terms in free variables).
+    """
     for eq in equations:
-        row = [Fraction(0)] * (n + 1)
-        for m, c in eq.terms:
-            d = sum(m)
-            if d == 0:
-                row[n] = c
-            elif d == 1:
-                row[m.index(1)] = c
-            else:
-                raise ValueError(f"{eq} is not linear")
-        rows.append(row)
-    pivots = []
-    r = 0
-    for col in range(n):
-        pivot = next((k for k in range(r, len(rows)) if rows[k][col]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][col]
-        rows[r] = [v / pv for v in rows[r]]
-        for k in range(len(rows)):
-            if k != r and rows[k][col]:
-                s = rows[k][col]
-                rows[k] = [u - s * v for u, v in zip(rows[k], rows[r])]
-        pivots.append(col)
-        r += 1
-    for k in range(r, len(rows)):
-        if rows[k][n]:
-            raise ValueError("inconsistent linear space")
-    values = []
-    for j in range(n):
-        if j in pivots:
-            row = rows[pivots.index(j)]
-            terms = [((0,) * n, -row[n])] if row[n] else []
-            for k in range(n):
-                if k != j and row[k]:
-                    m = tuple(1 if t == k else 0 for t in range(n))
-                    terms.append((m, -row[k]))
-            values.append(ring.poly(terms))
-        else:
-            values.append(ring.var(ring.vars[j]))
-    return values
+        if eq.degree() > 1:
+            raise ValueError(f"{eq} is not linear")
+    basis = buchberger(equations)
+    if basis.is_unit:
+        raise ValueError("inconsistent linear space")
+    solved = {g.lm().index(1): g for g in basis}
+    return [x - solved[j] if j in solved else x
+            for j, x in enumerate(ring.gens())]
 
 
 def verify_base_locus(inst: ProblemInstance) -> BaseLocusReport:

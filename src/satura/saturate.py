@@ -15,10 +15,10 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Optional
 
-from .arith import PrimeField, RationalField, field_from_descriptor, prime_field
+from .arith import (PrimeField, RationalField, field_from_descriptor,
+                    prime_field, primitive_scale)
 from .groebner import buchberger, quotient_basis
 from .poly import Polynomial
 
@@ -195,13 +195,7 @@ def integer_primitive(f: Polynomial) -> Polynomial:
         raise ValueError("integer_primitive expects a rational polynomial")
     if f.is_zero():
         return f
-    den = 1
-    for _, c in f.terms:
-        den = den * c.denominator // gcd(den, c.denominator)
-    num = 0
-    for _, c in f.terms:
-        num = gcd(num, c.numerator * (den // c.denominator))
-    scale = Fraction(den, num)
+    scale = primitive_scale(c for _, c in f.terms)
     if f.lc() < 0:
         scale = -scale
     return f.scale(scale)
@@ -234,12 +228,8 @@ def lm_agreement_test(f, i: int, params: SaturationParameters, p: int,
     # no minimum-size gate here: probing deliberately small unlucky primes
     # is the whole point of the test
     fp = prime_field(p)
-    if order is not None and order is not f.ring.order:
-        from .problems import ProblemInstance
-
-        ring = f.ring.with_order(order)
-        f = ProblemInstance(f.name, ring, tuple(ring.coerce(g) for g in f.polys),
-                            f.base_locus, f.conj_pairs)
+    if order is not None:
+        f = f.with_order(order)
     system = build_saturated_system(f, params)
     prim = [integer_primitive(g) for g in system.generators]
     ring_p = system.ring.with_field(fp)

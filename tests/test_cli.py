@@ -72,6 +72,37 @@ def test_gi_table_and_exit_code(capsys, tmp_path):
     assert json.loads(out)["cells"][0]["value"] == "-"
 
 
+def test_gi_checkpoint_from_another_run_exits_2(capsys, tmp_path):
+    ck = tmp_path / "ck.json"
+    code, _, _ = run(capsys, "gi", "--problem", "monomial", "--i", "1,0",
+                     "--prime", "32003", "--seed", "1", "--checkpoint", str(ck))
+    assert code == 0
+    code, out, err = run(capsys, "gi", "--problem", "conics", "--i", "1,0",
+                         "--prime", "32003", "--seed", "99",
+                         "--checkpoint", str(ck))
+    assert code == 2 and "checkpoint" in err and out == ""
+
+
+def test_trial_failures_exit_3(capsys):
+    for argv in (("trials", "--i", "6"), ("gi", "--i", "6")):
+        code, out, _ = run(capsys, *argv, "--problem", "alt", "--prime", "32771",
+                           "--trials", "2", "--timeout-s", "0.02",
+                           "--threads", "1")
+        assert code == 3
+        assert json.loads(out)["histogram"] == {"timeout": 2}
+
+
+def test_order_flag_applies(capsys):
+    # the affine Hilbert function needs a degree order: lex must be refused
+    code, out, err = run(capsys, "hilbert", "--problem", "monomial", "--i", "1",
+                         "--prime", "32003", "--order", "lex")
+    assert code == 2 and "does not refine total degree" in err
+    # g_i is the same count under either order
+    code, out, _ = run(capsys, "gi", "--problem", "monomial", "--i", "1",
+                       "--prime", "32003", "--order", "lex")
+    assert code == 0 and json.loads(out)["value"] == 5
+
+
 def test_gi_trials_mode(capsys):
     code, out, _ = run(capsys, "gi", "--problem", "monomial", "--i", "1",
                        "--prime", "32003", "--trials", "6", "--threads", "1")

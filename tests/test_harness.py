@@ -7,7 +7,8 @@ import pytest
 from satura.harness import (REFERENCE_VALUES, CellTable, TrialReport,
                             default_threads, gi_table, hilbert_table,
                             run_trials)
-from satura.problems import ProblemInstance, alt_system, example_monomial_system
+from satura.problems import (ProblemInstance, alt_system,
+                             conics_affine_system, example_monomial_system)
 
 
 def strip_timing(report):
@@ -15,6 +16,10 @@ def strip_timing(report):
     d.pop("wall_time")
     d.pop("time_stats")
     return d
+
+
+def strip_elapsed(table):
+    return [{k: v for k, v in c.items() if k != "elapsed"} for c in table.cells]
 
 
 def test_trials_reproducible():
@@ -71,6 +76,7 @@ def test_timeout_bucket():
                      timeout_s=0.05)
     assert rep.histogram == {"timeout": 2}
     assert rep.successes == 0
+    assert rep.failures == 2
 
 
 def test_report_serializations_agree():
@@ -96,8 +102,27 @@ def test_gi_table_values_and_checkpoint(tmp_path):
     assert full.value(i=0, prime=32003) == 6
     assert full.failures == 0
     fresh = gi_table(inst, [1, 0], [32003, 32771], seed=2024)
-    assert fresh.cells == full.cells
+    assert strip_elapsed(fresh) == strip_elapsed(full)
     assert json.loads(full.to_json())["kind"] == "gi_table"
+
+
+def test_gi_table_checkpoint_identity(tmp_path):
+    ck = tmp_path / "cells.json"
+    gi_table(example_monomial_system(), [1], [32003], seed=1,
+             checkpoint=str(ck))
+    # another problem, or the same problem at another seed, must not
+    # pick up the stored (i, prime) cell
+    with pytest.raises(ValueError, match="checkpoint"):
+        gi_table(conics_affine_system(), [1], [32003], seed=99,
+                 checkpoint=str(ck))
+    with pytest.raises(ValueError, match="checkpoint"):
+        gi_table(example_monomial_system(), [1], [32003], seed=2,
+                 checkpoint=str(ck))
+    # a file without a header cannot vouch for its cells either
+    ck.write_text(json.dumps({"1|32003": {"i": 1, "prime": 32003, "value": 5}}))
+    with pytest.raises(ValueError, match="checkpoint"):
+        gi_table(example_monomial_system(), [1], [32003], seed=1,
+                 checkpoint=str(ck))
 
 
 def test_gi_table_timeout_cell():

@@ -8,7 +8,7 @@ import pytest
 from satura.arith import QQ, prime_field
 from satura.groebner import buchberger, ideal_degree
 from satura.hilbert import (BudgetExceeded, DuplicatePoints,
-                            OrderNotDegreeCompatible, SingularSubmatrix,
+                            OrderNotDegreeCompatible, SingularSubmatrix, _rank,
                             affine_hilbert_function, emit_certification_system,
                             find_points_bruteforce, jde_dimension,
                             monomial_columns, veronese_matrix,
@@ -153,6 +153,16 @@ def test_veronese_rank_bounds_hilbert():
         assert veronese_rank_lower_bound(pts, d, F) <= prof.values[d]
     # rank reaches HF once d is large enough to separate the points
     assert veronese_rank_lower_bound(pts, 2, F) == 4 == ideal_degree(gb)
+
+
+def test_rank_over_q_and_mod_p():
+    rows = [(1, 2), (3, 1)]  # determinant -5
+    assert _rank([[Fraction(v) for v in r] for r in rows], QQ) == 2
+    assert _rank(rows, prime_field(5)) == 1
+    assert _rank(rows, prime_field(7)) == 2
+    # denominators are cleared before the integer elimination
+    assert _rank([(Fraction(1, 2), Fraction(1, 3)), (Fraction(3), Fraction(2))],
+                 QQ) == 1
 
 
 def test_veronese_duplicates_warn():

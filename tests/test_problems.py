@@ -3,8 +3,11 @@ import math
 import pytest
 
 from satura.arith import QQ, prime_field
-from satura.problems import (ALT_CONJ_PAIRS, alt_conj, alt_coupler_instance,
-                             alt_system, conics_affine_system,
+from satura.poly import LEX, PolyRing
+from satura.problems import (ALT_CONJ_PAIRS, _check_primitive,
+                             _space_parameterization, alt_conj,
+                             alt_coupler_instance, alt_system,
+                             conics_affine_system,
                              conics_certification_monomials,
                              conics_pstar_system, coupler_coefficients,
                              example_monomial_system, get_problem,
@@ -71,6 +74,16 @@ def test_alt_base_locus_identities():
     assert report.ok
     assert report.checked == 7 * 15
     assert report.failures == ()
+    # the parameterization holds under lex as well
+    assert verify_base_locus(alt_system().with_order(LEX)).ok
+
+
+def test_space_parameterization_rejects_bad_spaces():
+    R = example_monomial_system().ring
+    with pytest.raises(ValueError, match="inconsistent"):
+        _space_parameterization(R, [R.parse("x1 - 1"), R.parse("x1 - 2")])
+    with pytest.raises(ValueError, match="not linear"):
+        _space_parameterization(R, [R.parse("x1 - x2^2")])
 
 
 def test_transcription_is_primitive():
@@ -80,6 +93,15 @@ def test_transcription_is_primitive():
             nums = [c.numerator for _, c in f.terms]
             assert all(c.denominator == 1 for _, c in f.terms)
             assert math.gcd(*nums) == 1
+
+
+def test_transcription_check_rejects_non_primitive():
+    R = PolyRing(("x",), QQ)
+    for text in ("2*x + 4", "1/2*x"):
+        with pytest.raises(ValueError):
+            _check_primitive(R.parse(text))
+    f = R.parse("-x + 3")
+    assert _check_primitive(f) is f
 
 
 def test_coupler_coefficients():
