@@ -1,10 +1,13 @@
 """Exact coefficient arithmetic: word-sized prime fields and rationals.
 
 Field objects expose a small common surface (add/sub/mul/neg/inv/div,
-from_int, from_fraction, to_str/from_str) so polynomial code can stay
-field-agnostic.  Prime-field elements are canonical residues stored as
-plain ints; rationals are stdlib Fractions (lowest terms, positive
-denominator).
+from_int, from_fraction, to_str/from_str) for code that handles a few
+coefficients at a time.  Every field also answers .p: the prime for
+F_p, None for Q.  Hot kernels (Groebner normal forms, the F_p echelon)
+take that modulus instead of a field object and do plain number
+arithmetic, reducing mod p only where a coefficient must be canonical.
+Prime-field elements are canonical residues stored as plain ints;
+rationals are stdlib Fractions (lowest terms, positive denominator).
 """
 
 from fractions import Fraction
@@ -142,6 +145,7 @@ class RationalField:
     """Arithmetic context for exact rationals."""
 
     __slots__ = ("zero", "one")
+    p = None  # no modulus: kernels taking .p run exact rational arithmetic
 
     def __init__(self):
         self.zero = Fraction(0)

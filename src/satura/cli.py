@@ -55,8 +55,10 @@ def _int_list(text: str):
     return [int(x) for x in text.split(",") if x.strip() != ""]
 
 
-def _table_exit(run) -> int:
-    """3 when a table cell or a trial failed, else 0."""
+def _emit_run(run, args) -> int:
+    """Write a trial report or cell table as JSON or CSV; exit code 3
+    when a table cell or a trial failed, else 0."""
+    _emit(run.to_csv() if args.format == "csv" else run.to_json(), args.out)
     return 3 if run.failures else 0
 
 
@@ -75,23 +77,21 @@ def _cmd_gi(args) -> int:
     i_list = _int_list(args.i)
     p_list = _int_list(args.prime)
     if args.trials and args.trials > 1:
-        report = run_trials(problem, i_list[0], p_list[0], args.trials,
-                            args.seed, threads=args.threads,
-                            timeout_s=args.timeout_s if args.timeout_s else "auto")
-        _emit(report.to_csv() if args.format == "csv" else report.to_json(), args.out)
-        return _table_exit(report)
+        return _emit_run(run_trials(problem, i_list[0], p_list[0], args.trials,
+                                    args.seed, threads=args.threads,
+                                    timeout_s=args.timeout_s), args)
     if len(i_list) > 1 or len(p_list) > 1:
-        table = gi_table(problem, i_list, p_list, args.seed,
-                         timeout_s=args.timeout_s if args.timeout_s else "auto",
-                         checkpoint=args.checkpoint)
-        _emit(table.to_csv() if args.format == "csv" else table.to_json(), args.out)
-        return _table_exit(table)
+        return _emit_run(gi_table(problem, i_list, p_list, args.seed,
+                                  timeout_s=args.timeout_s,
+                                  checkpoint=args.checkpoint), args)
     i, p = i_list[0], p_list[0]
     payload = {"value": None, "i": i, "prime": p, "seed": args.seed,
                "elapsed_ms": None, "degenerate": False, "unit": False,
                "timeout": False}
+    # a single query runs uncapped unless --timeout-s is given
+    cap = None if args.timeout_s == "auto" else args.timeout_s
     out = run_capped(lambda: compute_gi(problem, i, prime_field(p), args.seed),
-                     args.timeout_s)
+                     cap)
     if out.kind == "error":
         print(f"error: {out.message}", file=sys.stderr)
         return 2
@@ -106,11 +106,9 @@ def _cmd_gi(args) -> int:
 
 def _cmd_hilbert(args) -> int:
     problem = _resolve_problem(args.problem, args.order)
-    table = hilbert_table(problem, _int_list(args.i), args.prime, args.dmax,
-                          args.seed,
-                          timeout_s=args.timeout_s if args.timeout_s else "auto")
-    _emit(table.to_csv() if args.format == "csv" else table.to_json(), args.out)
-    return _table_exit(table)
+    return _emit_run(hilbert_table(problem, _int_list(args.i), args.prime,
+                                   args.dmax, args.seed,
+                                   timeout_s=args.timeout_s), args)
 
 
 def _cmd_jde(args) -> int:
@@ -126,11 +124,10 @@ def _cmd_jde(args) -> int:
 
 def _cmd_trials(args) -> int:
     problem = _resolve_problem(args.problem, args.order)
-    report = run_trials(problem, args.i, args.prime, args.trials, args.seed,
-                        threads=args.threads, reference=args.reference,
-                        timeout_s=args.timeout_s if args.timeout_s else "auto")
-    _emit(report.to_csv() if args.format == "csv" else report.to_json(), args.out)
-    return _table_exit(report)
+    return _emit_run(run_trials(problem, args.i, args.prime, args.trials,
+                                args.seed, threads=args.threads,
+                                reference=args.reference,
+                                timeout_s=args.timeout_s), args)
 
 
 def _cmd_bounds(args) -> int:
@@ -278,6 +275,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if args.threads is None:
         args.threads = default_threads()
+    # tables and trials resolve "auto" to the harness's per-i default cap
+    args.timeout_s = args.timeout_s or "auto"
     try:
         return args.fn(args)
     except (ValueError, OSError, KeyError) as exc:

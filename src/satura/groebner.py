@@ -6,6 +6,11 @@ into single integers whose natural comparison realizes the active order,
 so heap pops, divisibility tests and monomial products are plain int
 arithmetic; exponent tuples only appear at the API boundary.
 
+The kernels take the field's modulus `mod` (p for F_p, None for Q) and
+do plain number arithmetic.  Over F_p reduction is delayed: a pending
+coefficient is reduced mod p only when its monomial is reached, which
+is also when the reducer choice looks at it, so the bases are the same.
+
 Over the rationals intermediate generators are rescaled to integer
 content 1; final reduced bases are monic and sorted ascending by leading
 monomial, which makes them unique for a given ideal and order.
@@ -14,8 +19,8 @@ monomial, which makes them unique for a given ideal and order.
 import heapq
 from functools import lru_cache
 
-from .arith import RationalField, primitive_scale
-from .poly import Polynomial, PolyRing
+from .arith import primitive_scale
+from .poly import Polynomial, PolyRing, mono_divides, mono_lcm
 
 _WIDTH = 16
 _EXP_CAP = (1 << (_WIDTH - 1)) - 1  # guard bit per field must stay clear
@@ -105,40 +110,52 @@ def _make_primitive(d: dict) -> None:
         d[p] *= scale
 
 
-def _normalize(d: dict, rational: bool, field) -> None:
+def _inverse(c, mod):
+    return pow(c, -1, mod) if mod else 1 / c
+
+
+def _monic(d: dict, mod) -> None:
+    c = _inverse(d[max(d)], mod)
+    for m in d:
+        d[m] = d[m] * c % mod if mod else d[m] * c
+
+
+def _normalize(d: dict, mod) -> None:
     """Canonical scaling: content 1 over Q, monic over a prime field."""
-    if rational:
+    if mod is None:
         _make_primitive(d)
     else:
-        c = field.inv(d[max(d)])
-        if c != 1:
-            p = field.p
-            for m in d:
-                d[m] = d[m] * c % p
+        _monic(d, mod)
 
 
-def _prepare(d: dict, field):
-    """Reducer record (lm, 1/lc, tail) from a packed term dict."""
+def _prepare(d: dict, mod):
+    """Reducer record (lm, 1/lc, tail) from a canonical packed term dict."""
     lead = max(d)
-    inv = field.inv(d[lead])
     tail = tuple((p, c) for p, c in sorted(d.items(), reverse=True) if p != lead)
-    return (lead, inv, tail)
+    return (lead, _inverse(d[lead], mod), tail)
 
 
-def _nf_packed(f: dict, reducers, field, guards, complement) -> dict:
-    """Full normal form of a packed term dict against prepared reducers."""
+def _nf_packed(f: dict, reducers, mod, guards, complement) -> dict:
+    """Full normal form of a packed term dict against prepared reducers.
+
+    f may hold unreduced integers over F_p; the result is canonical.
+    Reducer tails and factors are canonical, so each delayed update adds
+    less than p^2 in magnitude to a pending coefficient.
+    """
     coeffs = dict(f)
     heap = [-p for p in coeffs]
     heapq.heapify(heap)
     out = {}
-    zero = field.zero
-    fmul, fsub, fneg = field.mul, field.sub, field.neg
     push, pop = heapq.heappush, heapq.heappop
     while heap:
+        # every monomial pushed is below the one popped, so each monomial
+        # has exactly one heap entry and is popped once
         m = -pop(heap)
-        c = coeffs.pop(m, None)
-        if c is None:
-            continue  # stale entry for a cancelled monomial
+        c = coeffs.pop(m)
+        if mod:
+            c %= mod
+        if not c:
+            continue
         hit = None
         if complement:
             for r in reducers:
@@ -153,38 +170,31 @@ def _nf_packed(f: dict, reducers, field, guards, complement) -> dict:
         if hit is None:
             out[m] = c
             continue
-        factor = fmul(c, hit[1])
+        factor = -c * hit[1]  # negated once here, not once per tail term
+        if mod:
+            factor %= mod
         shift = m - hit[0]
         for tm, tc in hit[2]:
             mm = tm + shift
             old = coeffs.get(mm)
             if old is None:
-                coeffs[mm] = fneg(fmul(factor, tc))
+                coeffs[mm] = factor * tc
                 push(heap, -mm)
             else:
-                new = fsub(old, fmul(factor, tc))
-                if new == zero:
-                    del coeffs[mm]
-                else:
-                    coeffs[mm] = new
+                coeffs[mm] = old + factor * tc
     return out
 
 
-def _spoly_packed(df: dict, dg: dict, L: int, field) -> dict:
+def _spoly_packed(df: dict, dg: dict, L: int, mod) -> dict:
+    """S-polynomial of two canonical packed dicts, coefficients unreduced;
+    the cancelled lcm term stays as a zero (mod p) entry."""
     lf, lg = max(df), max(dg)
-    cf, cg = field.inv(df[lf]), field.inv(dg[lg])
+    cf, cg = _inverse(df[lf], mod), _inverse(dg[lg], mod)
     sf, sg = L - lf, L - lg
-    out = {}
-    zero = field.zero
-    for p, c in df.items():
-        out[p + sf] = field.mul(c, cf)
+    out = {p + sf: c * cf for p, c in df.items()}
     for p, c in dg.items():
         q = p + sg
-        s = field.sub(out.get(q, zero), field.mul(c, cg))
-        if s == zero:
-            out.pop(q, None)
-        else:
-            out[q] = s
+        out[q] = out.get(q, 0) - c * cg
     return out
 
 
@@ -239,11 +249,12 @@ def normal_form(f: Polynomial, basis) -> Polynomial:
         if g.ring != ring:
             raise ValueError("normal form across different rings")
     codec = _codec_for(ring)
-    reducers = [_prepare(_to_packed(g, codec), ring.field)
+    mod = ring.field.p
+    reducers = [_prepare(_to_packed(g, codec), mod)
                 for g in polys if not g.is_zero()]
     if not reducers:
         return f
-    out = _nf_packed(_to_packed(f, codec), reducers, ring.field,
+    out = _nf_packed(_to_packed(f, codec), reducers, mod,
                      codec.guards, codec.complement)
     return _from_packed(out, codec, ring)
 
@@ -254,8 +265,11 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     if g.ring != ring:
         raise ValueError("S-polynomial across different rings")
     codec = _codec_for(ring)
-    L = codec.pack(tuple(max(a, b) for a, b in zip(f.lm(), g.lm())))
-    out = _spoly_packed(_to_packed(f, codec), _to_packed(g, codec), L, ring.field)
+    mod = ring.field.p
+    L = codec.pack(mono_lcm(f.lm(), g.lm()))
+    s = _spoly_packed(_to_packed(f, codec), _to_packed(g, codec), L, mod)
+    # an empty reducer list only canonicalises: reduce mod p, drop zeros
+    out = _nf_packed(s, (), mod, codec.guards, codec.complement)
     return _from_packed(out, codec, ring)
 
 
@@ -271,8 +285,7 @@ def buchberger(gens, autoreduce: bool = True) -> GroebnerBasis:
     for g in gens:
         if g.ring != ring:
             raise ValueError("generators from different rings")
-    field = ring.field
-    rational = isinstance(field, RationalField)
+    mod = ring.field.p
     codec = _codec_for(ring)
     guards, complement, one = codec.guards, codec.complement, codec.one
 
@@ -280,10 +293,10 @@ def buchberger(gens, autoreduce: bool = True) -> GroebnerBasis:
     if not work:
         return GroebnerBasis(ring, ())
     for d in work:
-        _normalize(d, rational, field)
+        _normalize(d, mod)
 
     if autoreduce:
-        work = _autoreduce(work, field, guards, complement, rational)
+        work = _autoreduce(work, mod, guards, complement)
     if any(max(d) == one for d in work):
         return GroebnerBasis(ring, (ring.one(),))
 
@@ -296,7 +309,7 @@ def buchberger(gens, autoreduce: bool = True) -> GroebnerBasis:
     def add_generator(d: dict):
         t = len(polys)
         polys.append(d)
-        rec = _prepare(d, field)
+        rec = _prepare(d, mod)
         prepared.append(rec)
         lt_packed = rec[0]
         lt_tuple = codec.unpack(lt_packed)
@@ -305,7 +318,7 @@ def buchberger(gens, autoreduce: bool = True) -> GroebnerBasis:
 
         cand = []
         for i in live:
-            lcm_t = tuple(max(a, b) for a, b in zip(lm_tuples[i], lt_tuple))
+            lcm_t = mono_lcm(lm_tuples[i], lt_tuple)
             cand.append((i, codec.pack(lcm_t), sum(lcm_t)))
         # new-pair pruning: drop strictly dominated lcms, keep one per class,
         # and skip pairs with coprime leading monomials entirely
@@ -328,10 +341,8 @@ def buchberger(gens, autoreduce: bool = True) -> GroebnerBasis:
                 continue
             _, Lij = pairs[key]
             if codec.divides(lt_packed, Lij):
-                lcm_it = codec.pack(
-                    tuple(max(a, b) for a, b in zip(lm_tuples[i], lt_tuple)))
-                lcm_jt = codec.pack(
-                    tuple(max(a, b) for a, b in zip(lm_tuples[j], lt_tuple)))
+                lcm_it = codec.pack(mono_lcm(lm_tuples[i], lt_tuple))
+                lcm_jt = codec.pack(mono_lcm(lm_tuples[j], lt_tuple))
                 if lcm_it != Lij and lcm_jt != Lij:
                     del pairs[key]
         live[:] = [i for i in live if not codec.divides(lt_packed, prepared[i][0])]
@@ -344,16 +355,14 @@ def buchberger(gens, autoreduce: bool = True) -> GroebnerBasis:
         key = min(pairs, key=lambda ij: (pairs[ij][0], pairs[ij][1], ij))
         i, j = key
         _, L = pairs.pop(key)
-        s = _spoly_packed(polys[i], polys[j], L, field)
-        if not s:
-            continue
+        s = _spoly_packed(polys[i], polys[j], L, mod)
         reducers = [prepared[k] for k in live]
-        h = _nf_packed(s, reducers, field, guards, complement)
+        h = _nf_packed(s, reducers, mod, guards, complement)
         if not h:
             continue
         if max(h) == one:
             return GroebnerBasis(ring, (ring.one(),))
-        _normalize(h, rational, field)
+        _normalize(h, mod)
         add_generator(h)
 
     # single interreduction pass over the minimal basis, then monic scaling
@@ -361,19 +370,14 @@ def buchberger(gens, autoreduce: bool = True) -> GroebnerBasis:
     live_sorted = sorted(live, key=lambda k: prepared[k][0])
     for k in live_sorted:
         others = [prepared[m] for m in live_sorted if m != k]
-        h = _nf_packed(polys[k], others, field, guards, complement)
-        if rational:
-            c = h[max(h)]
-            for p in h:
-                h[p] = h[p] / c
-        else:
-            _normalize(h, rational, field)
+        h = _nf_packed(polys[k], others, mod, guards, complement)
+        _monic(h, mod)
         final.append(h)
     final.sort(key=max)
     return GroebnerBasis(ring, tuple(_from_packed(h, codec, ring) for h in final))
 
 
-def _autoreduce(work, field, guards, complement, rational):
+def _autoreduce(work, mod, guards, complement):
     """Mutually reduce the inputs until stable; drops redundant generators."""
     changed = True
     while changed:
@@ -381,15 +385,15 @@ def _autoreduce(work, field, guards, complement, rational):
         for i in range(len(work)):
             if work[i] is None:
                 continue
-            reducers = [_prepare(d, field)
+            reducers = [_prepare(d, mod)
                         for j, d in enumerate(work) if j != i and d is not None]
             if not reducers:
                 continue
-            h = _nf_packed(work[i], reducers, field, guards, complement)
+            h = _nf_packed(work[i], reducers, mod, guards, complement)
             if h != work[i]:
                 changed = True
                 if h:
-                    _normalize(h, rational, field)
+                    _normalize(h, mod)
                 work[i] = h if h else None
     return [d for d in work if d is not None]
 
@@ -409,38 +413,45 @@ def is_zero_dimensional(basis: GroebnerBasis) -> bool:
     return all(seen)
 
 
+def standard_monomials(basis: GroebnerBasis, d_max) -> list:
+    """Exponent tuples outside the leading-term ideal, of total degree at
+    most d_max; d_max None lifts the cap, which needs a zero-dimensional
+    basis to terminate.
+
+    Standard monomials form a downward-closed set, so the depth-first
+    search prunes a whole subtree as soon as one leading monomial divides
+    the current partial exponent vector.
+    """
+    lms = basis.leading_monomials
+    n = basis.ring.nvars
+    found = []
+    exps = [0] * n
+
+    def visit(var, total):
+        if var == n:
+            found.append(tuple(exps))
+            return
+        e = 0
+        while d_max is None or total + e <= d_max:
+            exps[var] = e
+            if any(mono_divides(lm, exps) for lm in lms):
+                break
+            visit(var + 1, total + e)
+            e += 1
+        exps[var] = 0
+
+    # mono_divides compares pairwise; lists work as well as tuples
+    visit(0, 0)
+    return found
+
+
 def quotient_basis(basis: GroebnerBasis) -> list:
     """Standard monomials (exponent tuples, ascending order) of a
     zero-dimensional ideal; these span the quotient as a vector space."""
     if not is_zero_dimensional(basis):
         raise NotZeroDimensional(
             "the leading-term ideal lacks a pure power in some variable")
-    ring = basis.ring
-    n = ring.nvars
-    lms = basis.leading_monomials
-    start = (0,) * n
-
-    def divisible(m):
-        for lm in lms:
-            if all(a <= b for a, b in zip(lm, m)):
-                return True
-        return False
-
-    if divisible(start):
-        return []
-    standard = {start}
-    frontier = [start]
-    while frontier:
-        fresh = []
-        for m in frontier:
-            for i in range(n):
-                child = m[:i] + (m[i] + 1,) + m[i + 1:]
-                if child in standard or divisible(child):
-                    continue
-                standard.add(child)
-                fresh.append(child)
-        frontier = fresh
-    return sorted(standard, key=ring.key)
+    return sorted(standard_monomials(basis, None), key=basis.ring.key)
 
 
 def ideal_degree(basis: GroebnerBasis) -> int:
@@ -455,12 +466,19 @@ def verify_groebner(basis, gens=None) -> bool:
     polys = [g for g in polys if not g.is_zero()]
     if not polys:
         return gens is None or all(g.is_zero() for g in gens)
+    gens = list(gens or ())
+    ring = polys[0].ring
+    if any(g.ring != ring for g in polys + gens):
+        raise ValueError("verification across different rings")
+    codec = _codec_for(ring)
+    mod, guards, complement = ring.field.p, codec.guards, codec.complement
+    packed = [_to_packed(g, codec) for g in polys]
+    reducers = [_prepare(d, mod) for d in packed]
     for a in range(len(polys)):
         for b in range(a + 1, len(polys)):
-            if not normal_form(s_polynomial(polys[a], polys[b]), polys).is_zero():
+            L = codec.pack(mono_lcm(polys[a].lm(), polys[b].lm()))
+            s = _spoly_packed(packed[a], packed[b], L, mod)
+            if _nf_packed(s, reducers, mod, guards, complement):
                 return False
-    if gens is not None:
-        for g in gens:
-            if not normal_form(g, polys).is_zero():
-                return False
-    return True
+    return not any(_nf_packed(_to_packed(g, codec), reducers, mod, guards,
+                              complement) for g in gens)

@@ -105,7 +105,8 @@ def _run_one(payload):
     if kind == "ok":
         kind = "unit" if out.result.unit else "value"
         value = out.result.value
-    return {"kind": kind, "value": value, "elapsed": out.elapsed}
+    return {"kind": kind, "value": value, "elapsed": out.elapsed,
+            "message": out.message}
 
 
 @dataclass(frozen=True)
@@ -119,6 +120,7 @@ class TrialReport:
     reference_source: str      # "table" | "modal" | "explicit"
     successes: int
     histogram: dict            # bucket -> count
+    errors: dict               # message of an "error" trial -> count
     wall_time: float
     time_stats: dict           # min/max/mean/median over per-trial seconds
 
@@ -142,6 +144,7 @@ class TrialReport:
             "successes": self.successes,
             "success_fraction": self.success_fraction,
             "histogram": dict(sorted(self.histogram.items())),
+            "errors": dict(sorted(self.errors.items())),
             "wall_time": self.wall_time,
             "time_stats": self.time_stats,
         }
@@ -160,6 +163,8 @@ class TrialReport:
             w.writerow([key, d[key]])
         for bucket, count in d["histogram"].items():
             w.writerow([f"histogram:{bucket}", count])
+        for message, count in d["errors"].items():
+            w.writerow([f"errors:{message}", count])
         for key, v in d["time_stats"].items():
             w.writerow([f"time_stats:{key}", v])
         return buf.getvalue()
@@ -174,9 +179,12 @@ def _summary(times) -> dict:
     }
 
 
-def _default_timeout(i: int) -> Optional[float]:
-    # small i cells are long-running extended targets; leave them uncapped
-    return 60.0 if i >= 5 else None
+def _resolve_timeout(timeout_s, i: int) -> Optional[float]:
+    """timeout_s, or for "auto" 60 s when i >= 5 and none below: small
+    i cells are long-running extended targets, so they stay uncapped."""
+    if timeout_s == "auto":
+        return 60.0 if i >= 5 else None
+    return timeout_s
 
 
 def run_trials(problem, i: int, p: int, trials: int, seed: int,
@@ -186,8 +194,7 @@ def run_trials(problem, i: int, p: int, trials: int, seed: int,
     reference value (built-in table, else the batch's modal value)."""
     if trials < 0:
         raise ValueError("trials must be non-negative")
-    if timeout_s == "auto":
-        timeout_s = _default_timeout(i)
+    timeout_s = _resolve_timeout(timeout_s, i)
     threads = threads or default_threads()
     payloads = [(problem, i, p, split_seed(seed, t), timeout_s)
                 for t in range(trials)]
@@ -199,11 +206,13 @@ def run_trials(problem, i: int, p: int, trials: int, seed: int,
             outcomes = list(pool.map(_run_one, payloads, chunksize=1))
     wall = time.perf_counter() - start
 
-    histogram = {}
+    histogram, errors = {}, {}
     times = []
     for out in outcomes:
         bucket = str(out["value"]) if out["kind"] == "value" else out["kind"]
         histogram[bucket] = histogram.get(bucket, 0) + 1
+        if out["kind"] == "error":
+            errors[out["message"]] = errors.get(out["message"], 0) + 1
         times.append(out["elapsed"])
 
     source = "explicit"
@@ -217,8 +226,8 @@ def run_trials(problem, i: int, p: int, trials: int, seed: int,
             reference = max(sorted(value_buckets), key=lambda k: value_buckets[k])
     successes = histogram.get(str(reference), 0) if reference is not None else 0
     return TrialReport(getattr(problem, "name", str(problem)), i, p, trials,
-                       seed, reference, source, successes, histogram, wall,
-                       _summary(times))
+                       seed, reference, source, successes, histogram, errors,
+                       wall, _summary(times))
 
 
 @dataclass(frozen=True)
@@ -299,35 +308,45 @@ def _save_checkpoint(path, header: dict, done: dict) -> None:
     os.replace(tmp, path)
 
 
+def _table_cell(key: dict, out: Outcome) -> dict:
+    """One table record: the cell key, then the fields the run returned,
+    or value "-" with the outcome and any error message."""
+    cell = dict(key)
+    if out.kind == "ok":
+        cell.update(out.result)
+    else:
+        cell.update(value="-", outcome=out.kind)
+        if out.message:
+            cell["message"] = out.message
+    cell["elapsed"] = round(out.elapsed, 3)
+    return cell
+
+
 def gi_table(problem, i_list, prime_list, seed: int, timeout_s="auto",
              checkpoint: Optional[str] = None) -> CellTable:
     """One randomized g_i per (i, p) cell; long sweeps are resumable.
 
-    A timed-out cell records value "-", matching the usual convention
-    for runs that failed to finish.
+    A cell that did not finish records value "-", matching the usual
+    convention for runs that failed to finish, with its outcome.
     """
     header = _checkpoint_header(problem, seed)
     done = _load_checkpoint(checkpoint, header)
     cells = []
     for i in i_list:
+        cap = _resolve_timeout(timeout_s, i)
         for p in prime_list:
             key = (str(i), str(p))
             if key in done:
                 cells.append(done[key])
                 continue
             cell_seed = split_seed(split_seed(seed, i), p)
-            cap = _default_timeout(i) if timeout_s == "auto" else timeout_s
-            out = _run_one((problem, i, p, cell_seed, cap))
-            cell = {"i": i, "prime": p, "seed": cell_seed,
-                    "elapsed": round(out["elapsed"], 3)}
-            if out["kind"] == "value":
-                cell["value"] = out["value"]
-            elif out["kind"] == "unit":
-                cell["value"] = out["value"]
-                cell["unit"] = True
-            else:
-                cell["value"] = "-"
-                cell["outcome"] = out["kind"]
+
+            def count():
+                r = compute_gi(problem, i, prime_field(p), cell_seed)
+                return {"value": r.value, **({"unit": True} if r.unit else {})}
+
+            cell = _table_cell({"i": i, "prime": p, "seed": cell_seed},
+                               run_capped(count, cap))
             done[key] = cell
             _save_checkpoint(checkpoint, header, done)
             cells.append(cell)
@@ -342,25 +361,16 @@ def hilbert_table(problem, i_list, p: int, d_max: int, seed: int,
     cells = []
     for i in i_list:
         cell_seed = split_seed(split_seed(seed, i), p)
-        cap = _default_timeout(i) if timeout_s == "auto" else timeout_s
 
         def row():
             params = draw_parameters(i, problem.n, problem.r, prime_field(p),
                                      cell_seed)
             basis = buchberger(build_saturated_system(problem, params).generators)
-            return affine_hilbert_function(basis, d_max)
+            prof = affine_hilbert_function(basis, d_max)
+            return {"value": list(prof.row()), "stabilized_at": prof.stabilized_at,
+                    "stable_value": prof.stable_value}
 
-        out = run_capped(row, cap)
-        cell = {"i": i, "prime": p, "seed": cell_seed}
-        if out.kind == "ok":
-            cell.update(value=list(out.result.row()),
-                        stabilized_at=out.result.stabilized_at,
-                        stable_value=out.result.stable_value)
-        else:
-            cell.update(value="-", outcome=out.kind)
-            if out.kind == "error":
-                cell["message"] = out.message
-        cell["elapsed"] = round(out.elapsed, 3)
-        cells.append(cell)
+        cells.append(_table_cell({"i": i, "prime": p, "seed": cell_seed},
+                                 run_capped(row, _resolve_timeout(timeout_s, i))))
     return CellTable("hilbert_table", getattr(problem, "name", str(problem)),
                      seed, tuple(cells))

@@ -17,10 +17,9 @@ from functools import lru_cache
 from math import comb, gcd, lcm
 from typing import Optional
 
-from .arith import PrimeField, RationalField
-from .groebner import GroebnerBasis
-from .poly import (PolyRing, exact_degree_monomials, mono_divides, mono_mul,
-                   polys_to_json)
+from .groebner import GroebnerBasis, standard_monomials
+from .poly import (PolyRing, evaluate_monomials, exact_degree_monomials,
+                   mono_mul, polys_to_json)
 
 
 class OrderNotDegreeCompatible(ValueError):
@@ -49,34 +48,6 @@ class HilbertProfile:
         return tuple(self.values[d] for d in sorted(self.values))
 
 
-def _standard_monomial_degrees(lms, n, d_max):
-    """Degrees of monomials of degree <= d_max outside <lms>.
-
-    Standard monomials form a downward-closed set, so the search prunes
-    a whole subtree as soon as one leading monomial divides the current
-    partial exponent vector.
-    """
-    degrees = []
-    exps = [0] * n
-
-    def visit(var, total):
-        if var == n:
-            degrees.append(total)
-            return
-        e = 0
-        while total + e <= d_max:
-            exps[var] = e
-            if any(mono_divides(lm, exps) for lm in lms):
-                break
-            visit(var + 1, total + e)
-            e += 1
-        exps[var] = 0
-
-    # mono_divides compares pairwise; lists work as well as tuples
-    visit(0, 0)
-    return degrees
-
-
 def require_degree_compatible(ring: PolyRing) -> None:
     """Raise OrderNotDegreeCompatible unless the ring's order refines degree."""
     if not ring.order.degree_compatible:
@@ -94,11 +65,7 @@ def affine_hilbert_function(basis: GroebnerBasis, d_max: int) -> HilbertProfile:
     require_degree_compatible(ring)
     if d_max < 0:
         raise ValueError("d_max must be non-negative")
-    lms = basis.leading_monomials
-    if any(sum(m) == 0 for m in lms):
-        degrees = []  # unit ideal: no standard monomials at all
-    else:
-        degrees = _standard_monomial_degrees(lms, ring.nvars, d_max)
+    degrees = [sum(m) for m in standard_monomials(basis, d_max)]
     per = [0] * (d_max + 2)
     for t in degrees:
         per[t] += 1
@@ -147,13 +114,13 @@ def _echelon_insert(pivots: dict, row: dict, field) -> Optional[int]:
     which keeps entries far smaller than Fraction arithmetic would; over
     F_p it goes to the field kernel.  The rank is len(pivots).
     """
-    if isinstance(field, RationalField):
+    if field.p is None:
         den = 1
         for v in row.values():
             den = lcm(den, v.denominator)
         row = {k: int(v * den) for k, v in row.items()}
         return _echelon_insert_int(pivots, row)
-    return _echelon_insert_field(pivots, row, field)
+    return _echelon_insert_field(pivots, row, field.p)
 
 
 def _rank(rows, field) -> int:
@@ -196,22 +163,29 @@ def _echelon_insert_int(pivots: dict, row: dict) -> Optional[int]:
     return None
 
 
-def _echelon_insert_field(pivots: dict, row: dict, field) -> Optional[int]:
-    """Prime-field kernel of _echelon_insert; pivot rows are monic."""
+def _echelon_insert_field(pivots: dict, row: dict, p: int) -> Optional[int]:
+    """Prime-field kernel of _echelon_insert; pivot rows are monic and
+    canonical.  Entries of the row being reduced accumulate unreduced
+    products and are reduced mod p only when they reach the pivot test."""
     while row:
         col = min(row)
+        c = row[col] % p
+        if not c:
+            del row[col]
+            continue
         piv = pivots.get(col)
         if piv is None:
-            inv = field.inv(row[col])
-            pivots[col] = {k: field.mul(v, inv) for k, v in row.items()}
+            inv = pow(c, -1, p)
+            reduced = {}
+            for k, v in row.items():
+                v = v * inv % p
+                if v:
+                    reduced[k] = v
+            pivots[col] = reduced
             return col
-        c = row[col]
         for k, v in piv.items():
-            nv = field.sub(row.get(k, field.zero), field.mul(c, v))
-            if nv:
-                row[k] = nv
-            else:
-                row.pop(k, None)
+            row[k] = row.get(k, 0) - c * v
+        del row[col]  # now a multiple of p: the pivot entry is 1
     return None
 
 
@@ -270,21 +244,8 @@ def veronese_matrix(points, d: int, field) -> VeroneseMatrix:
     if any(len(pt) != n for pt in points):
         raise ValueError("points of mixed dimension")
     cols = monomial_columns(n, d)
-    rows = tuple(_evaluate_monomials(pt, cols, field) for pt in points)
+    rows = tuple(evaluate_monomials(pt, cols, field) for pt in points)
     return VeroneseMatrix(tuple(points), d, cols, rows)
-
-
-def _evaluate_monomials(pt, monomials, field) -> tuple:
-    """The value of each monomial at the point, as field elements."""
-    modulus = getattr(field, "p", None)
-    row = []
-    for m in monomials:
-        v = field.one
-        for x, exp in zip(pt, m):
-            if exp:
-                v = v * pow(x, exp, modulus) % modulus if modulus else v * x ** exp
-        row.append(v)
-    return tuple(row)
 
 
 def veronese_rank_lower_bound(points, d: int, field) -> int:
@@ -312,7 +273,7 @@ def find_points_bruteforce(system, budget: int = 10 ** 7) -> list:
         raise ValueError("empty system")
     ring = polys[0].ring
     field = ring.field
-    if not isinstance(field, PrimeField):
+    if field.p is None:
         raise ValueError("brute force needs a prime field")
     p, n = field.p, ring.nvars
     if p ** n > budget:
@@ -367,7 +328,7 @@ def emit_certification_system(system, points, d: int, columns) -> CertificationS
         if len(m) != n or sum(m) > d:
             raise ValueError(f"column {m} is not a degree-<={d} monomial")
     # invertibility of S_d at the points, checked exactly
-    S = [_evaluate_monomials(pt, columns, field) for pt in points]
+    S = [evaluate_monomials(pt, columns, field) for pt in points]
     if _rank(S, field) != k:
         raise SingularSubmatrix(
             "selected columns are singular at the points; choose others")

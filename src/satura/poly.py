@@ -102,6 +102,19 @@ def mono_degree(m: Monomial) -> int:
     return sum(m)
 
 
+def evaluate_monomials(point, monomials, field) -> tuple:
+    """The value of each monomial at the point, as field elements."""
+    mod = field.p
+    row = []
+    for m in monomials:
+        v = field.one
+        for x, e in zip(point, m):
+            if e:
+                v = v * pow(x, e, mod) % mod if mod else v * x ** e
+        row.append(v)
+    return tuple(row)
+
+
 class PolyRing:
     """A polynomial ring: variable names, coefficient field, monomial order."""
 
@@ -360,15 +373,9 @@ class Polynomial:
             raise DimensionMismatch(
                 f"point of length {len(point)}, expected {self.ring.nvars}")
         field = self.ring.field
-        modulus = getattr(field, "p", None)
-        total = field.zero
-        for m, c in self.terms:
-            v = c
-            for x, e in zip(point, m):
-                if e:
-                    v = field.mul(v, pow(x, e, modulus) if modulus else x**e)
-            total = field.add(total, v)
-        return total
+        values = evaluate_monomials(point, [m for m, _ in self.terms], field)
+        total = sum((c * v for (_, c), v in zip(self.terms, values)), field.zero)
+        return total % field.p if field.p else total
 
     def substitute(self, values) -> "Polynomial":
         """Compose: replace variable i by values[i] (polynomials or constants)."""

@@ -7,7 +7,12 @@ from satura.arith import QQ, prime_field
 from satura.groebner import (NotZeroDimensional, buchberger, ideal_degree,
                              is_zero_dimensional, normal_form, quotient_basis,
                              s_polynomial, verify_groebner)
-from satura.poly import GREVLEX, LEX, PolyRing
+from satura.poly import GREVLEX, LEX, PolyRing, mono_div, mono_divides, mono_lcm
+
+# F_5, word-size primes at 15 and 30 bits, the Mersenne prime 2^61 - 1
+# (products near 2^122 in the delayed normal form) and Q
+KERNEL_FIELDS = (prime_field(5), prime_field(32771), prime_field(1073741789),
+                 prime_field(2 ** 61 - 1), QQ)
 
 
 def random_system(ring, rng, count=3, max_deg=3):
@@ -147,3 +152,76 @@ def test_degree_order_invariance():
         lex_gens = [R.with_order(LEX).coerce(f) for f in gens]
         assert ideal_degree(buchberger(lex_gens)) == ideal_degree(gb)
     assert hits >= 5  # the fuzz actually exercised the comparison
+
+
+def test_verify_groebner_rejects():
+    for field in (QQ, prime_field(7)):
+        R = PolyRing(("x", "y"), field)
+        gens = [R.parse("x^2 + y"), R.parse("x*y - 1")]
+        # y^2 + x is missing, so an S-polynomial does not reduce to zero
+        assert not verify_groebner(gens)
+        gb = buchberger(gens)
+        assert verify_groebner(gb, gens)
+        assert not verify_groebner(gb, gens + [R.parse("x")])
+
+
+def textbook_normal_form(f, divisors):
+    """Full division with Polynomial arithmetic (field methods throughout):
+    the largest remaining term goes to the first divisor whose leading
+    monomial divides it, else to the remainder."""
+    ring, field = f.ring, f.ring.field
+    divisors = [g for g in divisors if not g.is_zero()]
+    rem, rest = ring.zero(), f
+    while not rest.is_zero():
+        m, c = rest.lt()
+        for g in divisors:
+            if mono_divides(g.lm(), m):
+                q = field.div(c, g.lc())
+                rest = rest - ring.monomial(mono_div(m, g.lm()), q) * g
+                break
+        else:
+            rem = rem + ring.monomial(m, c)
+            rest = rest - ring.monomial(m, c)
+    return rem
+
+
+def textbook_s_polynomial(f, g):
+    ring, field = f.ring, f.ring.field
+    L = mono_lcm(f.lm(), g.lm())
+    return (ring.monomial(mono_div(L, f.lm()), field.inv(f.lc())) * f
+            - ring.monomial(mono_div(L, g.lm()), field.inv(g.lc())) * g)
+
+
+def random_field_poly(ring, rng, terms=4, max_deg=3):
+    field = ring.field
+    out = []
+    for _ in range(rng.randrange(1, terms + 1)):
+        m = tuple(rng.randrange(max_deg + 1) for _ in range(ring.nvars))
+        if field.p is None:
+            c = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+        else:
+            c = rng.randrange(field.p)  # full-width residues
+        out.append((m, c))
+    return ring.poly(out)
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=lambda f: f.descriptor)
+def test_kernel_matches_textbook_division(field):
+    rng = random.Random(41)
+    # lex bases of random trivariate cubics can take minutes; two variables
+    for order, names in ((GREVLEX, ("x", "y", "z")), (LEX, ("x", "y"))):
+        R = PolyRing(names, field, order)
+        for _ in range(8):
+            divisors = [random_field_poly(R, rng) for _ in range(3)]
+            f = random_field_poly(R, rng, terms=6, max_deg=4)
+            assert normal_form(f, divisors) == textbook_normal_form(f, divisors)
+            g, h = [d for d in divisors if not d.is_zero()][:2]
+            assert s_polynomial(g, h) == textbook_s_polynomial(g, h)
+            gb = buchberger(divisors)
+            for a, ga in enumerate(gb):
+                assert ga.lc() == field.one
+                for gc in list(gb)[a + 1:]:
+                    spoly = textbook_s_polynomial(ga, gc)
+                    assert textbook_normal_form(spoly, list(gb)).is_zero()
+            for d in divisors:
+                assert textbook_normal_form(d, list(gb)).is_zero()

@@ -8,7 +8,8 @@ from satura.harness import (REFERENCE_VALUES, CellTable, TrialReport,
                             default_threads, gi_table, hilbert_table,
                             run_trials)
 from satura.problems import (ProblemInstance, alt_system,
-                             conics_affine_system, example_monomial_system)
+                             conics_affine_system, example_monomial_system,
+                             get_problem)
 
 
 def strip_timing(report):
@@ -123,6 +124,25 @@ def test_gi_table_checkpoint_identity(tmp_path):
     with pytest.raises(ValueError, match="checkpoint"):
         gi_table(example_monomial_system(), [1], [32003], seed=1,
                  checkpoint=str(ck))
+
+
+def test_gi_table_keeps_error_message():
+    table = gi_table(get_problem("monomial"), [1], [9], seed=1)
+    cell = table.cells[0]
+    assert cell["value"] == "-" and cell["outcome"] == "error"
+    assert "modulus 9 is not prime" in cell["message"]
+    assert table.failures == 1
+
+
+def test_trial_report_keeps_error_messages():
+    rep = run_trials(get_problem("monomial"), 1, 9, 2, seed=1, threads=1)
+    assert rep.histogram == {"error": 2}
+    assert rep.failures == 2
+    (message, count), = rep.errors.items()
+    assert "modulus 9 is not prime" in message and count == 2
+    assert rep.to_dict()["errors"] == {message: 2}
+    rows = {r[0]: r[1] for r in csv.reader(io.StringIO(rep.to_csv()))}
+    assert rows[f"errors:{message}"] == "2"
 
 
 def test_gi_table_timeout_cell():

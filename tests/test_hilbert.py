@@ -165,6 +165,40 @@ def test_rank_over_q_and_mod_p():
                  QQ) == 1
 
 
+def dense_rank_mod_p(rows, p):
+    """Textbook Gaussian elimination on a dense copy, row by row."""
+    rows = [[v % p for v in r] for r in rows]
+    rank, ncols = 0, len(rows[0]) if rows else 0
+    for col in range(ncols):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][col], -1, p)
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                f = rows[r][col] * inv % p
+                rows[r] = [(a - f * b) % p for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+@pytest.mark.parametrize("p", (5, 32771, 2 ** 61 - 1))
+def test_rank_matches_dense_elimination(p):
+    rng = random.Random(43)
+    F = prime_field(p)
+    for _ in range(40):
+        k, n, r = rng.randrange(1, 7), rng.randrange(1, 8), rng.randrange(0, 6)
+        # rank <= r by construction; sparse factors leave zero entries
+        left = [[rng.randrange(p) if rng.random() < 0.6 else 0 for _ in range(r)]
+                for _ in range(k)]
+        right = [[rng.randrange(p) if rng.random() < 0.6 else 0 for _ in range(n)]
+                 for _ in range(r)]
+        rows = [[sum(a * b for a, b in zip(row, col)) % p
+                 for col in zip(*right)] if r else [0] * n for row in left]
+        assert _rank(rows, F) == dense_rank_mod_p(rows, p)
+
+
 def test_veronese_duplicates_warn():
     F = prime_field(7)
     with pytest.warns(DuplicatePoints):
