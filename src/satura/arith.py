@@ -1,13 +1,18 @@
 """Exact coefficient arithmetic: word-sized prime fields and rationals.
 
-Field objects expose a small common surface (add/sub/mul/neg/inv/div,
-from_int, from_fraction, to_str/from_str) for code that handles a few
-coefficients at a time.  Every field also answers .p: the prime for
-F_p, None for Q.  Hot kernels (Groebner normal forms, the F_p echelon)
-take that modulus instead of a field object and do plain number
-arithmetic, reducing mod p only where a coefficient must be canonical.
 Prime-field elements are canonical residues stored as plain ints;
 rationals are stdlib Fractions (lowest terms, positive denominator).
+Each field has one converter, element(c), which maps an int or a
+Fraction to its canonical element and raises TypeError on anything
+else; PolyRing.poly sums coefficients with plain + and canonicalises
+every sum through it.  Every field also answers .p: the prime for F_p,
+None for Q.  Hot kernels (Groebner normal forms, the F_p echelon) take
+that modulus instead of a field object and do plain number arithmetic,
+reducing mod p only where a coefficient must be canonical.
+
+The remaining methods (add/sub/mul/neg/inv/div, from_int,
+from_fraction, to_str/from_str) are the few-coefficient API for code
+that handles a coefficient or two at a time.
 """
 
 from fractions import Fraction
@@ -117,6 +122,14 @@ class PrimeField:
     def div(self, a, b):
         return a * self.inv(b) % self.p
 
+    def element(self, c) -> int:
+        """The canonical residue of an int or a Fraction."""
+        if isinstance(c, int):
+            return c % self.p
+        if isinstance(c, Fraction):
+            return reduce_rational_mod_p(c, self.p)
+        raise TypeError(f"coefficient {c!r} is not an int or a Fraction")
+
     def from_int(self, n: int):
         return n % self.p
 
@@ -170,12 +183,20 @@ class RationalField:
     def inv(self, a):
         if not a:
             raise ZeroInversion("0 has no inverse in Q")
-        return 1 / a
+        return Fraction(1, a)
 
     def div(self, a, b):
         if not b:
             raise ZeroInversion("0 has no inverse in Q")
-        return a / b
+        return Fraction(a, b)
+
+    def element(self, c) -> Fraction:
+        """c as a Fraction; c must be an int or a Fraction."""
+        if isinstance(c, Fraction):
+            return c
+        if isinstance(c, int):
+            return Fraction(c)
+        raise TypeError(f"coefficient {c!r} is not an int or a Fraction")
 
     def from_int(self, n: int):
         return Fraction(n)

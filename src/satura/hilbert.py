@@ -356,13 +356,13 @@ def emit_certification_system(system, points, d: int, columns) -> CertificationS
             # row i of Lambda . S_d(y) minus the identity, entry (i, j)
             terms = []
             if i == j:
-                terms.append(((0,) * nv, field.from_int(-1)))
+                terms.append(((0,) * nv, -1))
             for l in range(k):
                 exps = [0] * nv
                 exps[lam_base + i * k + l] = 1
                 for t, e in enumerate(columns[j]):
                     exps[l * n + t] = e
-                terms.append((tuple(exps), field.one))
+                terms.append((tuple(exps), 1))
             gens.append(big.poly(terms))
     assert len(gens) == k * n + k * k
     return CertificationSystem(tuple(gens), tuple(columns), tuple(tuple(pt) for pt in points), d)

@@ -2,14 +2,18 @@
 
 Monomials are exponent tuples; a polynomial is an immutable list of
 (monomial, coefficient) terms sorted strictly descending under the
-ring's active order.  The text grammar and the sparse JSON layout round
-trip bit-exactly through parse_polynomial / print_polynomial and
-polys_to_json / polys_from_json.
+ring's active order.  Coefficients are canonical field elements (a
+residue in [0, p) or a Fraction) and only PolyRing.poly makes them: it
+sums like monomials with plain +, maps each sum through field.element
+and drops zeros.  Arithmetic, scaling, constants, coercion and linear
+combinations (PolyRing.combine) all hand it their raw terms.  The text
+grammar and the sparse JSON layout round trip bit-exactly through
+parse_polynomial / print_polynomial and polys_to_json / polys_from_json.
 """
 
 from fractions import Fraction
 
-from .arith import QQ, RationalField, prime_field
+from .arith import QQ, prime_field
 
 Monomial = tuple
 
@@ -140,35 +144,54 @@ class PolyRing:
         return len(self.vars)
 
     def poly(self, terms) -> "Polynomial":
-        """Canonicalize (combine, drop zeros, sort descending) and wrap."""
-        acc = {}
-        field = self.field
-        zero = field.zero
+        """The polynomial of (monomial, coefficient) pairs or a dict:
+        like monomials summed, each sum made a field element (ints and
+        Fractions only, else TypeError), zeros dropped, sorted descending."""
+        n = self.nvars
+        checked = []
         for m, c in terms.items() if isinstance(terms, dict) else terms:
             m = tuple(m)
-            if len(m) != self.nvars:
+            if len(m) != n:
                 raise DimensionMismatch(
-                    f"exponent vector of length {len(m)}, expected {self.nvars}")
-            c0 = acc.get(m)
-            c = c if c0 is None else field.add(c0, c)
-            if c == zero:
-                acc.pop(m, None)
-            else:
-                acc[m] = c
-        ordered = sorted(acc, key=self.key, reverse=True)
-        return Polynomial(self, tuple((m, acc[m]) for m in ordered))
+                    f"exponent vector of length {len(m)}, expected {n}")
+            checked.append((m, c))
+        return self._canonical(checked)
+
+    def _canonical(self, terms, ordered=False) -> "Polynomial":
+        """poly() for terms whose monomials are known to fit the ring.
+        ordered=True promises distinct monomials in descending order, so
+        nothing is summed or sorted."""
+        if not ordered:
+            acc = {}
+            for m, c in terms:
+                c0 = acc.get(m)
+                acc[m] = c if c0 is None else c0 + c
+            terms = [(m, acc[m]) for m in sorted(acc, key=self.key, reverse=True)]
+        element = self.field.element
+        out = []
+        for m, c in terms:
+            c = element(c)
+            if c:
+                out.append((m, c))
+        return Polynomial(self, tuple(out))
+
+    def combine(self, coeffs, polys) -> "Polynomial":
+        """sum(c * f for c, f in zip(coeffs, polys)), canonicalised once."""
+        element = self.field.element
+        terms = []
+        for c, f in zip(coeffs, polys):
+            if f.ring != self:
+                raise RingMismatch(f"{f.ring!r} vs {self!r}")
+            c = element(c)
+            if c:
+                terms += [(m, c * a) for m, a in f.terms]
+        return self._canonical(terms)
 
     def zero(self) -> "Polynomial":
         return Polynomial(self, ())
 
     def const(self, c) -> "Polynomial":
-        if isinstance(c, int):
-            c = self.field.from_int(c)
-        elif isinstance(c, Fraction):
-            c = self.field.from_fraction(c)
-        if c == self.field.zero:
-            return self.zero()
-        return Polynomial(self, (((0,) * self.nvars, c),))
+        return self._canonical((((0,) * self.nvars, c),), ordered=True)
 
     def one(self) -> "Polynomial":
         return self.const(1)
@@ -183,9 +206,8 @@ class PolyRing:
     def gens(self) -> list:
         return [self.var(v) for v in self.vars]
 
-    def monomial(self, m: Monomial, c=None) -> "Polynomial":
-        c = self.field.one if c is None else c
-        return self.poly([(tuple(m), c)])
+    def monomial(self, m: Monomial, c=1) -> "Polynomial":
+        return self.poly([(m, c)])
 
     def parse(self, text: str) -> "Polynomial":
         return parse_polynomial(text, self)
@@ -211,15 +233,11 @@ class PolyRing:
         if src.vars != self.vars[: len(src.vars)]:
             raise RingMismatch(
                 f"variables {src.vars} are not a prefix of {self.vars}")
-        pad = (0,) * (self.nvars - len(src.vars))
-        if isinstance(src.field, RationalField):
-            conv = self.field.from_fraction
-        elif src.field == self.field:
-            conv = lambda c: c
-        else:
+        if src.field.p is not None and src.field != self.field:
             raise RingMismatch(
                 f"no coercion from {src.field.descriptor} to {self.field.descriptor}")
-        return self.poly([(m + pad, conv(c)) for m, c in f.terms])
+        pad = (0,) * (self.nvars - len(src.vars))
+        return self._canonical([(m + pad, c) for m, c in f.terms])
 
     def __eq__(self, other):
         return (isinstance(other, PolyRing) and other.vars == self.vars
@@ -270,11 +288,7 @@ class Polynomial:
         return max(mono_degree(m) for m, _ in self.terms)
 
     def monic(self) -> "Polynomial":
-        if not self.terms:
-            return self
-        field = self.ring.field
-        c = field.inv(self.terms[0][1])
-        return Polynomial(self.ring, tuple((m, field.mul(c, a)) for m, a in self.terms))
+        return self.scale(self.ring.field.inv(self.lc())) if self.terms else self
 
     def _check(self, other: "Polynomial"):
         if self.ring != other.ring:
@@ -284,24 +298,13 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return self + self.ring.const(other)
         self._check(other)
-        field = self.ring.field
-        acc = dict(self.terms)
-        zero = field.zero
-        for m, c in other.terms:
-            s = field.add(acc.get(m, zero), c)
-            if s == zero:
-                acc.pop(m, None)
-            else:
-                acc[m] = s
-        ordered = sorted(acc, key=self.ring.key, reverse=True)
-        return Polynomial(self.ring, tuple((m, acc[m]) for m in ordered))
+        return self.ring._canonical(self.terms + other.terms)
 
     def __radd__(self, other):
         return self + other
 
     def __neg__(self):
-        neg = self.ring.field.neg
-        return Polynomial(self.ring, tuple((m, neg(c)) for m, c in self.terms))
+        return self.scale(-1)
 
     def __sub__(self, other):
         if not isinstance(other, Polynomial):
@@ -315,34 +318,16 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return self.scale(other)
         self._check(other)
-        field = self.ring.field
-        zero = field.zero
-        acc = {}
-        for m1, c1 in self.terms:
-            for m2, c2 in other.terms:
-                m = mono_mul(m1, m2)
-                s = field.add(acc.get(m, zero), field.mul(c1, c2))
-                if s == zero:
-                    acc.pop(m, None)
-                else:
-                    acc[m] = s
-        ordered = sorted(acc, key=self.ring.key, reverse=True)
-        return Polynomial(self.ring, tuple((m, acc[m]) for m in ordered))
+        return self.ring._canonical([(mono_mul(m1, m2), c1 * c2)
+                                     for m1, c1 in self.terms
+                                     for m2, c2 in other.terms])
 
     def __rmul__(self, other):
         return self.scale(other)
 
     def scale(self, c) -> "Polynomial":
-        field = self.ring.field
-        if isinstance(c, int):
-            c = field.from_int(c)
-        elif isinstance(c, Fraction) and isinstance(field, RationalField):
-            pass
-        elif isinstance(c, Fraction):
-            c = field.from_fraction(c)
-        if c == field.zero:
-            return self.ring.zero()
-        return Polynomial(self.ring, tuple((m, field.mul(c, a)) for m, a in self.terms))
+        c = self.ring.field.element(c)  # nonzero c keeps the term order
+        return self.ring._canonical([(m, c * a) for m, a in self.terms], ordered=True)
 
     def __pow__(self, n: int):
         if n < 0:
@@ -390,10 +375,10 @@ class Polynomial:
         if target is None:
             raise ValueError("at least one substitution value must be a polynomial")
         vals = [v if isinstance(v, Polynomial) else target.const(v) for v in values]
-        result = target.zero()
         pow_cache = [{} for _ in vals]
-        for m, c in self.terms:
-            part = target.const(c)
+        parts = []
+        for m, _ in self.terms:
+            part = target.one()
             for i, e in enumerate(m):
                 if not e:
                     continue
@@ -402,8 +387,8 @@ class Polynomial:
                     cached = vals[i] ** e
                     pow_cache[i][e] = cached
                 part = part * cached
-            result = result + part
-        return result
+            parts.append(part)
+        return target.combine([c for _, c in self.terms], parts)
 
     def permute_vars(self, sigma) -> "Polynomial":
         """Exponent shuffle: source variable i becomes variable sigma[i]."""
@@ -571,7 +556,7 @@ def print_polynomial(f: Polynomial) -> str:
     if not f.terms:
         return "0"
     ring = f.ring
-    rational = isinstance(ring.field, RationalField)
+    rational = ring.field.p is None
     one = ring.field.one
     pieces = []
     for k, (m, c) in enumerate(f.terms):

@@ -12,10 +12,9 @@ touching anything here.
 """
 
 from dataclasses import dataclass, field as dfield
-from fractions import Fraction
 from functools import lru_cache
 
-from .arith import QQ, RationalField, primitive_scale
+from .arith import QQ, primitive_scale
 from .groebner import buchberger
 from .poly import GREVLEX, PolyRing, Polynomial
 
@@ -116,14 +115,7 @@ PSTAR = (
 def conics_pstar_system() -> list:
     """The six fixed combinations PSTAR * F of the conics system."""
     inst = conics_affine_system()
-    out = []
-    for row in PSTAR:
-        g = inst.ring.zero()
-        for c, f in zip(row, inst.polys):
-            if c:
-                g = g + f.scale(c)
-        out.append(g)
-    return out
+    return [inst.ring.combine(row, inst.polys) for row in PSTAR]
 
 
 # 18 quadratic-column monomials that select an invertible submatrix for
@@ -217,22 +209,13 @@ def alt_system() -> ProblemInstance:
 def coupler_coefficients(point, field=QQ) -> list:
     """The 15 coefficient values c_j(p, pb) attached to one curve point."""
     p, pb = point
-    if isinstance(field, RationalField):
-        p, pb = Fraction(p), Fraction(pb)
-        mul = lambda u, v: u * v
-    else:
-        if isinstance(p, int):
-            p = field.from_int(p)
-        if isinstance(pb, int):
-            pb = field.from_int(pb)
-        mul = field.mul
-    p2, p3 = mul(p, p), mul(mul(p, p), p)
-    q2, q3 = mul(pb, pb), mul(mul(pb, pb), pb)
-    return [
-        mul(p3, q3), mul(p3, q2), mul(q3, p2), mul(p3, pb), mul(q3, p),
-        p3, q3, mul(p2, q2), mul(p2, pb), mul(q2, p),
-        p2, q2, mul(p, pb), p, pb,
-    ]
+    p2, q2 = p * p, pb * pb
+    p3, q3 = p2 * p, q2 * pb
+    return [field.element(c) for c in (
+        p3 * q3, p3 * q2, q3 * p2, p3 * pb, q3 * p,
+        p3, q3, p2 * q2, p2 * pb, q2 * p,
+        p2, q2, p * pb, p, pb,
+    )]
 
 
 def alt_coupler_instance(points, field) -> list:
@@ -241,16 +224,9 @@ def alt_coupler_instance(points, field) -> list:
     if len(points) != 8:
         raise ValueError(f"expected 8 points, got {len(points)}")
     inst = alt_system()
-    ring = inst.ring if isinstance(field, RationalField) else inst.ring.with_field(field)
+    ring = inst.ring.with_field(field)
     fs = [ring.coerce(f) for f in inst.polys]
-    out = []
-    for pt in points:
-        cs = coupler_coefficients(pt, field)
-        g = ring.zero()
-        for c, f in zip(cs, fs):
-            g = g + f.scale(c)
-        out.append(g)
-    return out
+    return [ring.combine(coupler_coefficients(pt, field), fs) for pt in points]
 
 
 @dataclass(frozen=True)

@@ -17,8 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .arith import (PrimeField, RationalField, field_from_descriptor,
-                    prime_field, primitive_scale)
+from .arith import field_from_descriptor, prime_field, primitive_scale
 from .groebner import buchberger, quotient_basis
 from .poly import Polynomial
 
@@ -85,7 +84,7 @@ def draw_parameters(i: int, n: int, r: int, field, seed: int,
     if not 0 <= i <= n - 1:
         raise ValueError(f"i must lie in [0, {n - 1}], got {i}")
     rng = random.Random(seed)
-    if isinstance(field, PrimeField):
+    if field.p is not None:
         pick = lambda: rng.randrange(field.p)
     else:
         lo, hi = qrange
@@ -115,25 +114,15 @@ def build_saturated_system(f, params: SaturationParameters) -> SaturatedSystem:
     """
     n, r = f.n, f.r
     params.check_shape(n, r)
-    field = field_from_descriptor(params.field)
-    base = f.ring if f.ring.field == field else f.ring.with_field(field)
-    ring = base.extend("T") if params.mu is not None else base
-    polys = [ring.coerce(g) for g in f.polys]
-    gens = []
-    for row in params.theta:
-        g = ring.const(-1)
-        for c, name in zip(row, ring.vars[:n]):
-            g = g + ring.var(name).scale(c)
-        gens.append(g)
-    for row in params.lam:
-        g = ring.zero()
-        for c, fj in zip(row, polys):
-            g = g + fj.scale(c)
-        gens.append(g)
+    ring = f.ring.with_field(field_from_descriptor(params.field))
     if params.mu is not None:
-        h = ring.zero()
-        for c, fj in zip(params.mu, polys):
-            h = h + fj.scale(c)
+        ring = ring.extend("T")
+    polys = [ring.coerce(g) for g in f.polys]
+    affine = ring.gens()[:n] + [ring.one()]
+    gens = [ring.combine((*row, -1), affine) for row in params.theta]
+    gens += [ring.combine(row, polys) for row in params.lam]
+    if params.mu is not None:
+        h = ring.combine(params.mu, polys)
         gens.append(ring.one() - h * ring.var("T"))
     return SaturatedSystem(tuple(gens), params, f)
 
@@ -160,7 +149,7 @@ def max_coefficient_magnitude(polys) -> Fraction:
 
 
 def _check_prime_size(field, polys) -> None:
-    if isinstance(field, PrimeField):
+    if field.p is not None:
         bound = max(Fraction(4), max_coefficient_magnitude(polys))
         if field.p <= bound:
             raise PrimeTooSmall(
@@ -191,7 +180,7 @@ def compute_gi(f, i: int, field, seed: int, qrange=(-99, 99)) -> GiResult:
 def integer_primitive(f: Polynomial) -> Polynomial:
     """Rescale over Q to integer coefficients with content 1 and a
     positive leading coefficient."""
-    if not isinstance(f.ring.field, RationalField):
+    if f.ring.field.p is not None:
         raise ValueError("integer_primitive expects a rational polynomial")
     if f.is_zero():
         return f
@@ -223,7 +212,7 @@ def lm_agreement_test(f, i: int, params: SaturationParameters, p: int,
     Disagreement certifies p unlucky for this ideal; agreement is
     supporting evidence only.
     """
-    if not isinstance(field_from_descriptor(params.field), RationalField):
+    if field_from_descriptor(params.field).p is not None:
         raise ValueError("parameters must be rational for the agreement test")
     # no minimum-size gate here: probing deliberately small unlucky primes
     # is the whole point of the test

@@ -90,3 +90,28 @@ def test_shared_instances():
     assert prime_field(32003) is prime_field(32003)
     assert prime_field(32003) == PrimeField(32003)
     assert prime_field(32003) != prime_field(32771)
+
+
+def test_element_canonicalises_ints_and_fractions():
+    F = prime_field(7)
+    assert [F.element(c) for c in (0, 7, -3, 15, 2 ** 70)] == \
+        [0, 0, 4, 1, 2 ** 70 % 7]
+    assert F.element(Fraction(1, 2)) == 4
+    assert F.element(Fraction(-14, 3)) == 0
+    with pytest.raises(DenominatorVanishes):
+        F.element(Fraction(1, 7))
+    for c in (3, Fraction(-7, 3)):
+        e = QQ.element(c)
+        assert type(e) is Fraction and e == c
+    for field in (F, QQ):
+        for bad in (1.5, "3", None, 2j):
+            with pytest.raises(TypeError):
+                field.element(bad)
+
+
+def test_rational_inverse_of_int_is_exact():
+    for got in (QQ.inv(3), QQ.div(1, 3), QQ.div(Fraction(2, 3), 2)):
+        assert type(got) is Fraction and got == Fraction(1, 3)
+    assert QQ.inv(Fraction(-2, 5)) == Fraction(-5, 2)
+    with pytest.raises(ZeroInversion):
+        QQ.div(1, 0)

@@ -228,8 +228,8 @@ def test_kernel_matches_textbook_division(field):
 
 
 def test_integer_coefficients_over_q_stay_exact():
-    # PolyRing.poly keeps Python ints as given; the results must still be
-    # exact rationals, never floats
+    # Python int coefficients over Q; the results must be exact
+    # rationals, never floats
     R = PolyRing(("x",), QQ)
     x2 = R.poly([((2,), 1)])
     g = R.poly([((1,), 3), ((0,), 1)])  # 3x + 1
@@ -239,6 +239,13 @@ def test_integer_coefficients_over_q_stay_exact():
     assert s.terms == (((1,), Fraction(1, 3)),)
     for p in (r, s):
         assert all(isinstance(c, Fraction) for _, c in p.terms)
+
+
+def test_multiple_of_p_coefficient_is_zero_mod_p():
+    # 7x over F_7 is the zero polynomial, not a generator with lead 7
+    R = PolyRing(("x",), prime_field(7))
+    gb = buchberger([R.poly([((1,), 7)]), R.parse("x^2+1")])
+    assert list(gb) == [R.parse("x^2 + 1")]
 
 
 def test_packed_exponent_overflow_raises():

@@ -8,7 +8,8 @@ from satura.arith import QQ, prime_field
 from satura.groebner import NotZeroDimensional, buchberger, quotient_basis
 from satura.poly import GREVLEX, LEX, DimensionMismatch
 from satura.problems import (ProblemInstance, _space_parameterization,
-                             alt_system, example_monomial_system)
+                             alt_system, conics_affine_system,
+                             example_monomial_system)
 from satura.saturate import (GeneratorVanishesModP, PrimeTooSmall,
                              SaturationParameters, build_saturated_system,
                              compute_gi, draw_parameters, integer_primitive,
@@ -75,6 +76,37 @@ def test_build_shape():
         inst, draw_parameters(1, inst.n, inst.r, F32003, 7, include_mu=False))
     assert len(slim.generators) == inst.n
     assert slim.ring.vars == inst.ring.vars
+
+
+def operator_built_system(f, params):
+    """Theta.x - 1, Lambda.f and 1 - (mu.f) T written with + and *."""
+    field = F32003 if params.field == F32003.descriptor else QQ
+    ring = f.ring.with_field(field)
+    if params.mu is not None:
+        ring = ring.extend("T")
+    polys = [ring.coerce(g) for g in f.polys]
+    xs = ring.gens()[:f.n]
+    gens = [sum((c * x for c, x in zip(row, xs)), ring.const(-1))
+            for row in params.theta]
+    gens += [sum((c * g for c, g in zip(row, polys)), ring.zero())
+             for row in params.lam]
+    if params.mu is not None:
+        mu_f = sum((c * g for c, g in zip(params.mu, polys)), ring.zero())
+        gens.append(1 - mu_f * ring.var("T"))
+    return tuple(gens)
+
+
+@pytest.mark.parametrize("field", [F32003, QQ], ids=["Fp", "Q"])
+def test_build_matches_operator_arithmetic(field):
+    cases = [(alt_system(), i) for i in (7, 6, 2)]
+    cases += [(conics_affine_system(), 4), (example_monomial_system(), 1)]
+    for inst, i in cases:
+        for seed in (3, 2024):
+            for mu in (True, False):
+                params = draw_parameters(i, inst.n, inst.r, field, seed,
+                                         include_mu=mu)
+                got = build_saturated_system(inst, params).generators
+                assert got == operator_built_system(inst, params)
 
 
 def test_monomial_example_counts():
