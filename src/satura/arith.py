@@ -6,7 +6,7 @@ Each field has one converter, element(c), which maps an int or a
 Fraction to its canonical element and raises TypeError on anything
 else; PolyRing.poly sums coefficients with plain + and canonicalises
 every sum through it.  Every field also answers .p: the prime for F_p,
-None for Q.  Hot kernels (Groebner normal forms, the F_p echelon) take
+None for Q.  Hot kernels (Groebner normal forms, the echelon) take
 that modulus instead of a field object and do plain number arithmetic,
 reducing mod p only where a coefficient must be canonical.
 

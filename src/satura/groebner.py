@@ -315,7 +315,7 @@ def normal_form(f: Polynomial, basis) -> Polynomial:
 
     Deterministic: reducers are tried in list order, monomials largest first.
     """
-    polys = list(basis.generators if isinstance(basis, GroebnerBasis) else basis)
+    polys = list(basis)
     ring = f.ring
     for g in polys:
         if g.ring != ring:
@@ -345,7 +345,7 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     return _from_packed(_exact(out, mult, mod), codec, ring)
 
 
-def buchberger(gens, autoreduce: bool = True) -> GroebnerBasis:
+def buchberger(gens) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal generated by gens.
 
     Shuffling the input changes only the work performed, never the result.
@@ -367,8 +367,7 @@ def buchberger(gens, autoreduce: bool = True) -> GroebnerBasis:
     for d in work:
         _normalize(d, mod)
 
-    if autoreduce:
-        work = _autoreduce(work, mod, guards, complement)
+    work = _autoreduce(work, mod, guards, complement)
     if any(max(d) == one for d in work):
         return GroebnerBasis(ring, (ring.one(),))
 
@@ -537,8 +536,7 @@ def ideal_degree(basis: GroebnerBasis) -> int:
 def verify_groebner(basis, gens=None) -> bool:
     """Post-hoc check: every S-polynomial of the basis reduces to zero,
     and (optionally) every original generator lies in the spanned ideal."""
-    polys = list(basis.generators if isinstance(basis, GroebnerBasis) else basis)
-    polys = [g for g in polys if not g.is_zero()]
+    polys = [g for g in basis if not g.is_zero()]
     if not polys:
         return gens is None or all(g.is_zero() for g in gens)
     gens = list(gens or ())

@@ -218,7 +218,7 @@ def run_trials(problem, i: int, p: int, trials: int, seed: int,
 
     source = "explicit"
     if reference is None:
-        reference = REFERENCE_VALUES.get(getattr(problem, "name", None), {}).get(i)
+        reference = REFERENCE_VALUES.get(problem.name, {}).get(i)
         source = "table"
     if reference is None:
         source = "modal"
@@ -226,9 +226,8 @@ def run_trials(problem, i: int, p: int, trials: int, seed: int,
         if value_buckets:
             reference = max(sorted(value_buckets), key=lambda k: value_buckets[k])
     successes = histogram.get(str(reference), 0) if reference is not None else 0
-    return TrialReport(getattr(problem, "name", str(problem)), i, p, trials,
-                       seed, reference, source, successes, histogram, errors,
-                       wall, _summary(times))
+    return TrialReport(problem.name, i, p, trials, seed, reference, source,
+                       successes, histogram, errors, wall, _summary(times))
 
 
 @dataclass(frozen=True)
@@ -281,7 +280,7 @@ def _checkpoint_header(problem, seed: int) -> dict:
     """
     system = json.dumps(polys_to_json(list(problem.polys)), sort_keys=True)
     return {"schema_version": SCHEMA_VERSION,
-            "problem": getattr(problem, "name", str(problem)),
+            "problem": problem.name,
             "system_crc32": zlib.crc32(system.encode()),
             "seed": seed}
 
@@ -351,8 +350,7 @@ def gi_table(problem, i_list, prime_list, seed: int, timeout_s="auto",
             done[key] = cell
             _save_checkpoint(checkpoint, header, done)
             cells.append(cell)
-    return CellTable("gi_table", getattr(problem, "name", str(problem)),
-                     seed, tuple(cells))
+    return CellTable("gi_table", problem.name, seed, tuple(cells))
 
 
 def hilbert_table(problem, i_list, p: int, d_max: int, seed: int,
@@ -373,5 +371,4 @@ def hilbert_table(problem, i_list, p: int, d_max: int, seed: int,
 
         cells.append(_table_cell({"i": i, "prime": p, "seed": cell_seed},
                                  run_capped(row, _resolve_timeout(timeout_s, i))))
-    return CellTable("hilbert_table", getattr(problem, "name", str(problem)),
-                     seed, tuple(cells))
+    return CellTable("hilbert_table", problem.name, seed, tuple(cells))

@@ -14,12 +14,13 @@ import json
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, gcd, lcm
+from math import comb, gcd
 from typing import Optional
 
+from .arith import primitive_scale
 from .groebner import GroebnerBasis, standard_monomials
 from .poly import (PolyRing, evaluate_monomials, exact_degree_monomials,
-                   mono_mul, polys_to_json)
+                   mono_mul, monomials_up_to_degree, polys_to_json)
 
 
 class OrderNotDegreeCompatible(ValueError):
@@ -73,13 +74,10 @@ def affine_hilbert_function(basis: GroebnerBasis, d_max: int) -> HilbertProfile:
     for d in range(d_max + 1):
         total += per[d]
         values[d] = total
-    stabilized_at = None
-    for d in range(d_max):
-        if all(per[t] == 0 for t in range(d + 1, d_max + 1)):
-            stabilized_at = d
-            break
-    if not degrees:
-        stabilized_at = 0
+    # the first empty degree ends the staircase; no standard monomial at
+    # all (the unit ideal) is flat from 0
+    stabilized_at = next((d for d in range(d_max) if per[d + 1] == 0),
+                         None if degrees else 0)
     stable = values[stabilized_at] if stabilized_at is not None else None
     return HilbertProfile(values, stabilized_at, stable)
 
@@ -106,87 +104,69 @@ def _strip_content(row: dict) -> None:
             row[k] //= g
 
 
-def _echelon_insert(pivots: dict, row: dict, field) -> Optional[int]:
-    """Reduce one sparse row {column: entry} against the pivot rows;
+def _echelon_insert(pivots: dict, row: dict, mod) -> Optional[int]:
+    """Reduce one sparse row {column: int} against the pivot rows;
     register and return its pivot column, or None when it vanishes.
 
-    Over Q the row is cleared of denominators and eliminated on integers,
-    which keeps entries far smaller than Fraction arithmetic would; over
-    F_p it goes to the field kernel.  The rank is len(pivots).
-    """
-    if field.p is None:
-        den = 1
-        for v in row.values():
-            den = lcm(den, v.denominator)
-        row = {k: int(v * den) for k, v in row.items()}
-        return _echelon_insert_int(pivots, row)
-    return _echelon_insert_field(pivots, row, field.p)
-
-
-def _rank(rows, field) -> int:
-    """Exact rank of dense rows of field elements."""
-    pivots = {}
-    for row in rows:
-        _echelon_insert(pivots, {j: v for j, v in enumerate(row) if v}, field)
-    return len(pivots)
-
-
-def _echelon_insert_int(pivots: dict, row: dict) -> Optional[int]:
-    """Integer kernel of _echelon_insert.
-
-    Fraction-free: cross-multiply with the minimal factors and strip the
-    gcd afterwards so entries stay small.
+    One fraction-free body for both fields; mod is field.p, the prime
+    for F_p and None for Q.  A pending entry c against a pivot lead a
+    scales the row by a/g and subtracts (c/g) * pivot, g = gcd(a, c).
+    Over Q pivot rows are integers of content 1 with a positive lead,
+    and stripping the content after each step keeps entries small.  Over
+    F_p pivot rows are monic, so the step is a plain subtraction; the
+    row accumulates unreduced products and an entry is reduced mod p
+    only when it reaches the pivot test.  The rank is len(pivots).
     """
     while row:
         col = min(row)
+        c = row[col]
+        if mod is not None:
+            c = row[col] = c % mod
+            if not c:
+                del row[col]
+                continue
         piv = pivots.get(col)
         if piv is None:
-            _strip_content(row)
-            if row[col] < 0:
-                for k in row:
-                    row[k] = -row[k]
+            if mod is None:
+                _strip_content(row)
+                if c < 0:
+                    for k in row:
+                        row[k] = -row[k]
+            else:
+                inv = pow(c, -1, mod)
+                row = {k: w for k, v in row.items() if (w := v * inv % mod)}
             pivots[col] = row
             return col
-        a, b = piv[col], row[col]
-        g = gcd(a, b)
-        ma, mb = b // g, a // g
+        a = piv[col]
+        g = gcd(a, c)
+        if g != a:
+            a //= g
+            for k in row:
+                row[k] *= a
+        c //= g
         for k, v in piv.items():
-            nv = row.get(k, 0) * mb - v * ma
+            nv = row.get(k, 0) - c * v
             if nv:
                 row[k] = nv
             else:
                 row.pop(k, None)
-        for k in list(row):
-            if k not in piv:
-                row[k] *= mb
-        _strip_content(row)
+        if mod is None:
+            _strip_content(row)
     return None
 
 
-def _echelon_insert_field(pivots: dict, row: dict, p: int) -> Optional[int]:
-    """Prime-field kernel of _echelon_insert; pivot rows are monic and
-    canonical.  Entries of the row being reduced accumulate unreduced
-    products and are reduced mod p only when they reach the pivot test."""
-    while row:
-        col = min(row)
-        c = row[col] % p
-        if not c:
-            del row[col]
-            continue
-        piv = pivots.get(col)
-        if piv is None:
-            inv = pow(c, -1, p)
-            reduced = {}
-            for k, v in row.items():
-                v = v * inv % p
-                if v:
-                    reduced[k] = v
-            pivots[col] = reduced
-            return col
-        for k, v in piv.items():
-            row[k] = row.get(k, 0) - c * v
-        del row[col]  # now a multiple of p: the pivot entry is 1
-    return None
+def _rank(rows, field) -> int:
+    """Exact rank of dense rows of field elements; over Q each row is
+    made integer with content 1 before the elimination."""
+    mod = field.p
+    pivots = {}
+    for row in rows:
+        row = {j: v for j, v in enumerate(row) if v}
+        if mod is None and row:
+            s = primitive_scale(row.values())
+            row = {j: int(v * s) for j, v in row.items()}
+        _echelon_insert(pivots, row, mod)
+    return len(pivots)
 
 
 def jde_dimension(h, d: int, e: int):
@@ -202,23 +182,25 @@ def jde_dimension(h, d: int, e: int):
     if not h:
         raise ValueError("empty system")
     ring = h[0].ring
-    n = ring.nvars
+    n, mod = ring.nvars, ring.field.p
     D = d + e
-    cols = sorted(
-        {m for deg in range(D + 1) for m in exact_degree_monomials(n, deg)},
-        key=lambda m: (-sum(m), ring.key(m)))
+    cols = monomials_up_to_degree(n, D)
     index = {m: j for j, m in enumerate(cols)}
-    low_start = next((j for j, m in enumerate(cols) if sum(m) <= d), len(cols))
+    low_start = len(cols) - comb(n + d, d)
 
     pivots = {}
     for f in h:
         df = f.degree()
         if df > D:
             continue
+        terms = f.terms
+        if mod is None:
+            s = primitive_scale(c for _, c in terms)
+            terms = [(fm, int(c * s)) for fm, c in terms]
         for deg in range(D - df + 1):
             for m in exact_degree_monomials(n, deg):
-                row = {index[mono_mul(fm, m)]: c for fm, c in f.terms}
-                _echelon_insert(pivots, row, ring.field)
+                row = {index[mono_mul(fm, m)]: c for fm, c in terms}
+                _echelon_insert(pivots, row, mod)
     dim = sum(1 for c in pivots if c >= low_start)
     return dim, comb(n + d, d) - dim
 
@@ -268,7 +250,7 @@ def find_points_bruteforce(system, budget: int = 10 ** 7) -> list:
     Desk-scale oracle: radical ideals with all solutions rational have
     exactly ideal_degree of them.
     """
-    polys = list(system.generators) if isinstance(system, GroebnerBasis) else list(system)
+    polys = list(system)
     if not polys:
         raise ValueError("empty system")
     ring = polys[0].ring
@@ -311,7 +293,7 @@ def emit_certification_system(system, points, d: int, columns) -> CertificationS
 
     Emission only; the caller hands the file to an external certifier.
     """
-    polys = list(system.generators) if isinstance(system, GroebnerBasis) else list(system)
+    polys = list(system)
     if not polys:
         raise ValueError("empty system")
     ring = polys[0].ring

@@ -101,7 +101,18 @@ def test_jde_mod_p_matches_rational():
     combos = conics_pstar_system()
     ring_p = combos[0].ring.with_field(prime_field(32003))
     combos_p = [ring_p.coerce(g) for g in combos]
-    assert jde_dimension(combos_p, 2, 2) == jde_dimension(combos, 2, 2)
+    for d, e in ((1, 3), (2, 1), (2, 2), (2, 3), (3, 1)):
+        assert jde_dimension(combos_p, d, e) == jde_dimension(combos, d, e)
+
+
+def test_jde_independent_of_ring_order():
+    # columns are enumerated from (n, d+e) alone; a lex copy of the
+    # system spans the same space
+    combos = conics_pstar_system()
+    ring_lex = combos[0].ring.with_order(LEX)
+    combos_lex = [ring_lex.coerce(g) for g in combos]
+    for d, e in ((2, 2), (2, 3), (3, 1)):
+        assert jde_dimension(combos_lex, d, e) == jde_dimension(combos, d, e)
 
 
 def test_jde_sandwich_fuzz():
@@ -165,38 +176,46 @@ def test_rank_over_q_and_mod_p():
                  QQ) == 1
 
 
-def dense_rank_mod_p(rows, p):
-    """Textbook Gaussian elimination on a dense copy, row by row."""
-    rows = [[v % p for v in r] for r in rows]
+def dense_rank(rows, F):
+    """Textbook Gaussian elimination on a dense copy, row by row, in the
+    field's own arithmetic (Fractions over Q)."""
+    rows = [[F.element(v) for v in r] for r in rows]
     rank, ncols = 0, len(rows[0]) if rows else 0
     for col in range(ncols):
         piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
         if piv is None:
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = pow(rows[rank][col], -1, p)
+        inv = F.inv(rows[rank][col])
         for r in range(len(rows)):
             if r != rank and rows[r][col]:
-                f = rows[r][col] * inv % p
-                rows[r] = [(a - f * b) % p for a, b in zip(rows[r], rows[rank])]
+                f = F.mul(rows[r][col], inv)
+                rows[r] = [F.sub(a, F.mul(f, b)) for a, b in zip(rows[r], rows[rank])]
         rank += 1
     return rank
 
 
-@pytest.mark.parametrize("p", (5, 32771, 2 ** 61 - 1))
+@pytest.mark.parametrize("p", (5, 32771, 2 ** 61 - 1, pytest.param(None, id="Q")))
 def test_rank_matches_dense_elimination(p):
     rng = random.Random(43)
-    F = prime_field(p)
+    F = QQ if p is None else prime_field(p)
+
+    def entry():
+        # sparse factors leave zero entries; over Q the entries are fractions
+        if rng.random() >= 0.6:
+            return 0
+        if p is None:
+            return Fraction(rng.randint(-9, 9), rng.randrange(1, 7))
+        return rng.randrange(p)
+
     for _ in range(40):
         k, n, r = rng.randrange(1, 7), rng.randrange(1, 8), rng.randrange(0, 6)
-        # rank <= r by construction; sparse factors leave zero entries
-        left = [[rng.randrange(p) if rng.random() < 0.6 else 0 for _ in range(r)]
-                for _ in range(k)]
-        right = [[rng.randrange(p) if rng.random() < 0.6 else 0 for _ in range(n)]
-                 for _ in range(r)]
-        rows = [[sum(a * b for a, b in zip(row, col)) % p
-                 for col in zip(*right)] if r else [0] * n for row in left]
-        assert _rank(rows, F) == dense_rank_mod_p(rows, p)
+        # rank <= r by construction
+        left = [[entry() for _ in range(r)] for _ in range(k)]
+        right = [[entry() for _ in range(n)] for _ in range(r)]
+        rows = [[F.element(sum(a * b for a, b in zip(row, col)))
+                 for col in zip(*right)] if r else [F.zero] * n for row in left]
+        assert _rank(rows, F) == dense_rank(rows, F)
 
 
 def test_veronese_duplicates_warn():
