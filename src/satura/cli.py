@@ -191,7 +191,8 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=2024, help="64-bit master seed")
     common.add_argument("--threads", type=int, default=None,
-                        help="worker processes (default: SATURA_THREADS or CPU count)")
+                        help="worker processes (default: SATURA_THREADS, else the "
+                             "CPUs this process may run on)")
     common.add_argument("--timeout-s", type=float, default=None, dest="timeout_s",
                         help="per-trial/cell wall clock cap in seconds")
     common.add_argument("--out", default=None, help="write output to this path")

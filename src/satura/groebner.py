@@ -23,12 +23,29 @@ boundary and in the final monic scaling; final reduced bases are monic
 and sorted ascending by leading monomial, which makes them unique for a
 given ideal and order.
 
-Exponents up to 2^15 - 1 pack into 16-bit fields whose top bit stays
-clear; a monomial formed during reduction that sets one raises
-OverflowError instead of wrapping.
+Each exponent packs into a field of w bits whose top (guard) bit stays
+clear, so it holds up to 2^(w-1) - 1; a monomial formed during reduction
+that sets a guard bit raises OverflowError instead of wrapping.
+`normal_form`, `s_polynomial` and `verify_groebner` use 16-bit fields.
+`buchberger` packs into 8-bit fields first, which keeps a monomial of
+a small problem in one 30-bit int digit, and on OverflowError reruns
+with 16-bit fields, where an overflow raises.
+
+`buchberger` sets linear generators aside: after full autoreduction the
+leading variable of a generator whose terms all have degree <= 1 occurs
+in no other generator, so every pair it makes is coprime.  The main
+loop runs on the other generators, packed in the remaining variables,
+and the final interreduction runs over both.  Its reducer search
+remembers, per monomial, the first live generator that divides it, or
+how many generators were tried without a divisor, and later searches
+for that monomial test only what may have changed since.  Both leave
+the S-pair sequence and every reducer choice as a scan of all live
+generators in index order would make them.
 """
 
 import heapq
+from bisect import bisect_left
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -36,22 +53,25 @@ from math import gcd
 from .arith import primitive_scale
 from .poly import Polynomial, PolyRing, mono_divides, mono_lcm
 
-_WIDTH = 16
-_EXP_CAP = (1 << (_WIDTH - 1)) - 1  # guard bit per field must stay clear
-
 
 class NotZeroDimensional(ValueError):
     """The quotient by the ideal is not a finite-dimensional vector space."""
 
 
 class _Codec:
-    """Packs exponent tuples into ints so that int comparison = the order."""
+    """Packs exponent tuples into ints so that int comparison = the order.
 
-    __slots__ = ("n", "shifts", "guards", "mask", "complement", "one", "degshift")
+    Monomial a divides monomial b exactly when sign * (a - b) borrows
+    from no field, that is when `not (sign * (a - b) & guards)`.
+    """
 
-    def __init__(self, n: int, order_name: str):
+    __slots__ = ("n", "cap", "shifts", "guards", "mask", "complement",
+                 "sign", "one", "degshift")
+
+    def __init__(self, n: int, order_name: str, width: int):
         self.n = n
-        w = _WIDTH
+        w = width
+        self.cap = (1 << (w - 1)) - 1  # guard bit per field must stay clear
         self.mask = (1 << w) - 1
         if order_name == "grevlex":
             # layout [deg | cap-e_n | ... | cap-e_1]; bigger int = bigger monomial
@@ -65,41 +85,37 @@ class _Codec:
             self.complement = False
         else:
             raise ValueError(f"unsupported order {order_name!r}")
+        self.sign = 1 if self.complement else -1
         self.guards = 0
         for s in self.shifts:
             self.guards |= 1 << (s + w - 1)
         self.one = self.pack((0,) * n)
 
     def pack(self, m) -> int:
+        cap = self.cap
         if self.complement:
             p = sum(m) << self.degshift
             for e, s in zip(m, self.shifts):
-                if e > _EXP_CAP:
+                if e > cap:
                     raise OverflowError(f"exponent {e} exceeds packing width")
-                p |= (_EXP_CAP - e) << s
+                p |= (cap - e) << s
             return p
         p = 0
         for e, s in zip(m, self.shifts):
-            if e > _EXP_CAP:
+            if e > cap:
                 raise OverflowError(f"exponent {e} exceeds packing width")
             p |= e << s
         return p
 
     def unpack(self, p: int) -> tuple:
         if self.complement:
-            return tuple(_EXP_CAP - ((p >> s) & self.mask) for s in self.shifts)
+            return tuple(self.cap - ((p >> s) & self.mask) for s in self.shifts)
         return tuple((p >> s) & self.mask for s in self.shifts)
-
-    def divides(self, a: int, b: int) -> bool:
-        """True when monomial a divides monomial b."""
-        if self.complement:
-            return not ((a - b) & self.guards)
-        return not ((b - a) & self.guards)
 
 
 @lru_cache(maxsize=None)
-def _codec(n: int, order_name: str) -> _Codec:
-    return _Codec(n, order_name)
+def _codec(n: int, order_name: str, width: int = 16) -> _Codec:
+    return _Codec(n, order_name, width)
 
 
 def _codec_for(ring: PolyRing) -> _Codec:
@@ -173,8 +189,24 @@ def _reducer(g: Polynomial, codec: _Codec, mod):
     return _prepare(_kernel_input(g, codec, mod)[0], mod)
 
 
-def _nf_packed(f: dict, reducers, mod, guards, complement):
-    """Full normal form of a packed term dict against prepared reducers.
+def _scan(reducers, codec: _Codec):
+    """Reducer search for `_nf_packed`: find(m) is the first of reducers
+    whose leading monomial divides m, or None."""
+    sign, guards = codec.sign, codec.guards
+    keyed = [(sign * r[0], r) for r in reducers]
+
+    def find(m):
+        km = sign * m
+        for k, r in keyed:
+            if not ((k - km) & guards):
+                return r
+        return None
+    return find
+
+
+def _nf_packed(f: dict, find, mod, guards):
+    """Full normal form of a packed term dict; find(m) names the reducer
+    record for monomial m, or None when m stays in the remainder.
 
     Returns (r, mult) with r = mult * NF(f) and mult a positive integer.
     Over F_p mult is 1, f may hold unreduced integers and r is canonical;
@@ -203,17 +235,7 @@ def _nf_packed(f: dict, reducers, mod, guards, complement):
             c %= mod
         if not c:
             continue
-        hit = None
-        if complement:
-            for r in reducers:
-                if not ((r[0] - m) & guards):
-                    hit = r
-                    break
-        else:
-            for r in reducers:
-                if not ((m - r[0]) & guards):
-                    hit = r
-                    break
+        hit = find(m)
         if hit is None:
             out[m] = c
             continue
@@ -270,14 +292,42 @@ def _spoly_packed(rf, rg, L: int, mod, guards):
     return out, mult
 
 
+@dataclass
+class GroebnerStats:
+    """What one `buchberger` call did, counted per pair, never per term.
+
+    pairs_created counts every pair a new generator forms with the live
+    ones; the new-pair criteria (coprime leading monomials, lcm dominated
+    or repeated) drop pairs_pruned_new of them, the chain criterion drops
+    pairs_pruned_chain later, and spairs_reduced are taken from the queue
+    and reduced, zero_reductions of them to zero.  linear_set_aside
+    generators ran outside the main loop, which worked in reduced_nvars
+    variables with exponent fields width bits wide.
+    """
+
+    pairs_created: int = 0
+    pairs_pruned_new: int = 0
+    pairs_pruned_chain: int = 0
+    spairs_reduced: int = 0
+    zero_reductions: int = 0
+    linear_set_aside: int = 0
+    reduced_nvars: int = 0
+    width: int = 0
+
+
 class GroebnerBasis:
-    """A reduced Groebner basis: monic, interreduced, sorted by leading monomial."""
+    """A reduced Groebner basis: monic, interreduced, sorted by leading monomial.
 
-    __slots__ = ("ring", "generators")
+    `stats` is the `GroebnerStats` of the `buchberger` call that built
+    it; it is not part of equality or hashing.
+    """
 
-    def __init__(self, ring: PolyRing, generators: tuple):
+    __slots__ = ("ring", "generators", "stats")
+
+    def __init__(self, ring: PolyRing, generators: tuple, stats=None):
         self.ring = ring
         self.generators = generators
+        self.stats = stats
 
     @property
     def leading_monomials(self) -> tuple:
@@ -326,7 +376,7 @@ def normal_form(f: Polynomial, basis) -> Polynomial:
     if not reducers or f.is_zero():
         return f
     d, scale = _kernel_input(f, codec, mod)
-    out, mult = _nf_packed(d, reducers, mod, codec.guards, codec.complement)
+    out, mult = _nf_packed(d, _scan(reducers, codec), mod, codec.guards)
     return _from_packed(_exact(out, mult * scale, mod), codec, ring)
 
 
@@ -341,7 +391,7 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     s, mult = _spoly_packed(_reducer(f, codec, mod), _reducer(g, codec, mod),
                             L, mod, codec.guards)
     # an empty reducer list only canonicalises: reduce mod p, drop zeros
-    out, _ = _nf_packed(s, (), mod, codec.guards, codec.complement)
+    out, _ = _nf_packed(s, _scan((), codec), mod, codec.guards)
     return _from_packed(_exact(out, mult, mod), codec, ring)
 
 
@@ -349,6 +399,7 @@ def buchberger(gens) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal generated by gens.
 
     Shuffling the input changes only the work performed, never the result.
+    Raises OverflowError when an exponent passes 2^15 - 1.
     """
     gens = list(gens)
     if not gens:
@@ -357,25 +408,61 @@ def buchberger(gens) -> GroebnerBasis:
     for g in gens:
         if g.ring != ring:
             raise ValueError("generators from different rings")
-    mod = ring.field.p
-    codec = _codec_for(ring)
-    guards, complement, one = codec.guards, codec.complement, codec.one
+    try:
+        return _buchberger(gens, ring, 8)
+    except OverflowError:
+        pass  # rerun outside the handler: an overflow at 16 bits raises alone
+    return _buchberger(gens, ring, 16)
 
-    work = [_to_packed(g, codec) for g in gens if not g.is_zero()]
+
+def _buchberger(gens, ring: PolyRing, width: int) -> GroebnerBasis:
+    """`buchberger` with exponent fields width bits wide."""
+    mod = ring.field.p
+    n, order = ring.nvars, ring.order.name
+    full = _codec(n, order, width)
+    stats = GroebnerStats(width=width)
+
+    work = [_to_packed(g, full) for g in gens if not g.is_zero()]
     if not work:
-        return GroebnerBasis(ring, ())
+        return GroebnerBasis(ring, (), stats)
     for d in work:
         _normalize(d, mod)
 
-    work = _autoreduce(work, mod, guards, complement)
-    if any(max(d) == one for d in work):
-        return GroebnerBasis(ring, (ring.one(),))
+    work = _autoreduce(work, mod, full)
+    if any(max(d) == full.one for d in work):
+        return GroebnerBasis(ring, (ring.one(),), stats)
+
+    # Full autoreduction leaves the leading variable of a linear generator
+    # in no other generator, so all its pairs are coprime: the main loop
+    # runs on the rest, packed in the variables they can contain.
+    linear, rest = [], []
+    for d in work:
+        (linear if all(sum(full.unpack(p)) <= 1 for p in d) else rest).append(d)
+    gone = {full.unpack(max(d)).index(1) for d in linear}
+    keep = [j for j in range(n) if j not in gone]
+    codec = _codec(len(keep), order, width)
+    stats.linear_set_aside, stats.reduced_nvars = len(linear), len(keep)
+    guards, sign, one = codec.guards, codec.sign, codec.one
 
     polys = []      # packed dicts, addressable by index forever
     prepared = []   # matching reducer records
+    keys = []       # sign * leading monomial, for the divisibility test
     lm_tuples = []
-    live = []       # indices forming the current minimal working basis
+    live = []       # ascending indices forming the current minimal working basis
     pairs = {}      # (i, j) -> (lcm degree, packed lcm)
+    memo = {}       # monomial -> first index its reducer search must test
+
+    def find(m):
+        # indices below memo[m] hold no live divisor of m: live indices
+        # only disappear or are appended, so a "none" needs only the
+        # generators added since, and a hit that left live only later ones
+        km = sign * m
+        for i in live[bisect_left(live, memo.get(m, 0)):]:
+            if not ((keys[i] - km) & guards):
+                memo[m] = i
+                return prepared[i]
+        memo[m] = len(keys)
+        return None
 
     def add_generator(d: dict):
         t = len(polys)
@@ -383,6 +470,7 @@ def buchberger(gens) -> GroebnerBasis:
         rec = _prepare(d, mod)
         prepared.append(rec)
         lt_packed = rec[0]
+        keys.append(sign * lt_packed)
         lt_tuple = codec.unpack(lt_packed)
         lm_tuples.append(lt_tuple)
         deg_t = sum(lt_tuple)
@@ -391,18 +479,20 @@ def buchberger(gens) -> GroebnerBasis:
         for i in live:
             lcm_t = mono_lcm(lm_tuples[i], lt_tuple)
             cand.append((i, codec.pack(lcm_t), sum(lcm_t)))
+        stats.pairs_created += len(cand)
         # new-pair pruning: drop strictly dominated lcms, keep one per class,
         # and skip pairs with coprime leading monomials entirely
         for idx, (i, L, dL) in enumerate(cand):
             coprime = dL == sum(lm_tuples[i]) + deg_t
             dominated = False
             for jdx, (_, L2, _) in enumerate(cand):
-                if jdx == idx or not codec.divides(L2, L):
+                if jdx == idx or sign * (L2 - L) & guards:
                     continue
                 if L2 != L or jdx < idx:
                     dominated = True
                     break
             if dominated or coprime:
+                stats.pairs_pruned_new += 1
                 continue
             pairs[(i, t)] = (dL, L)
         # old-pair pruning: the chain criterion against the new leading term
@@ -411,44 +501,63 @@ def buchberger(gens) -> GroebnerBasis:
             if j == t:
                 continue
             _, Lij = pairs[key]
-            if codec.divides(lt_packed, Lij):
+            if not (sign * (lt_packed - Lij) & guards):
                 lcm_it = codec.pack(mono_lcm(lm_tuples[i], lt_tuple))
                 lcm_jt = codec.pack(mono_lcm(lm_tuples[j], lt_tuple))
                 if lcm_it != Lij and lcm_jt != Lij:
                     del pairs[key]
-        live[:] = [i for i in live if not codec.divides(lt_packed, prepared[i][0])]
+                    stats.pairs_pruned_chain += 1
+        kt = keys[t]
+        live[:] = [i for i in live if (kt - keys[i]) & guards]
         live.append(t)
 
-    for d in work:
-        add_generator(d)
+    for d in rest:
+        restricted = {}
+        for p, c in d.items():
+            e = full.unpack(p)
+            restricted[codec.pack([e[j] for j in keep])] = c
+        add_generator(restricted)
 
     while pairs:
         key = min(pairs, key=lambda ij: (pairs[ij][0], pairs[ij][1], ij))
         i, j = key
         _, L = pairs.pop(key)
         s, _ = _spoly_packed(prepared[i], prepared[j], L, mod, guards)
-        reducers = [prepared[k] for k in live]
-        h, _ = _nf_packed(s, reducers, mod, guards, complement)
+        h, _ = _nf_packed(s, find, mod, guards)
+        stats.spairs_reduced += 1
         if not h:
+            stats.zero_reductions += 1
             continue
         if max(h) == one:
-            return GroebnerBasis(ring, (ring.one(),))
+            return GroebnerBasis(ring, (ring.one(),), stats)
         _normalize(h, mod)
         add_generator(h)
 
-    # single interreduction pass over the minimal basis, then monic scaling
+    # lift the live generators back to all variables, then one
+    # interreduction pass over them and the linear ones, and monic scaling
+    basis = linear[:]
+    for k in live:
+        lifted = {}
+        for p, c in polys[k].items():
+            e = [0] * n
+            for j, x in zip(keep, codec.unpack(p)):
+                e[j] = x
+            lifted[full.pack(e)] = c
+        basis.append(lifted)
+    basis.sort(key=max)
+    records = [_prepare(d, mod) for d in basis]
     final = []
-    live_sorted = sorted(live, key=lambda k: prepared[k][0])
-    for k in live_sorted:
-        others = [prepared[m] for m in live_sorted if m != k]
-        h, _ = _nf_packed(polys[k], others, mod, guards, complement)
+    for k, d in enumerate(basis):
+        h, _ = _nf_packed(d, _scan(records[:k] + records[k + 1:], full), mod,
+                          full.guards)
         _monic(h, mod)
         final.append(h)
     final.sort(key=max)
-    return GroebnerBasis(ring, tuple(_from_packed(h, codec, ring) for h in final))
+    return GroebnerBasis(
+        ring, tuple(_from_packed(h, full, ring) for h in final), stats)
 
 
-def _autoreduce(work, mod, guards, complement):
+def _autoreduce(work, mod, codec: _Codec):
     """Mutually reduce the inputs until stable; drops redundant generators."""
     changed = True
     while changed:
@@ -462,7 +571,8 @@ def _autoreduce(work, mod, guards, complement):
                         if j != i and r is not None]
             if not reducers:
                 continue
-            h, _ = _nf_packed(work[i], reducers, mod, guards, complement)
+            h, _ = _nf_packed(work[i], _scan(reducers, codec), mod,
+                              codec.guards)
             if h != work[i]:
                 changed = True
                 if h:
@@ -544,14 +654,15 @@ def verify_groebner(basis, gens=None) -> bool:
     if any(g.ring != ring for g in polys + gens):
         raise ValueError("verification across different rings")
     codec = _codec_for(ring)
-    mod, guards, complement = ring.field.p, codec.guards, codec.complement
+    mod, guards = ring.field.p, codec.guards
     reducers = [_reducer(g, codec, mod) for g in polys]
+    find = _scan(reducers, codec)
     for a in range(len(polys)):
         for b in range(a + 1, len(polys)):
             L = codec.pack(mono_lcm(polys[a].lm(), polys[b].lm()))
             s, _ = _spoly_packed(reducers[a], reducers[b], L, mod, guards)
-            if _nf_packed(s, reducers, mod, guards, complement)[0]:
+            if _nf_packed(s, find, mod, guards)[0]:
                 return False
-    return not any(_nf_packed(_kernel_input(g, codec, mod)[0], reducers, mod,
-                              guards, complement)[0]
+    return not any(_nf_packed(_kernel_input(g, codec, mod)[0], find, mod,
+                              guards)[0]
                    for g in gens if not g.is_zero())

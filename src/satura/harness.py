@@ -37,9 +37,12 @@ REFERENCE_VALUES = {
 
 
 def default_threads() -> int:
+    """SATURA_THREADS when set, else the CPUs this process may run on."""
     env = os.environ.get("SATURA_THREADS")
     if env:
         return max(1, int(env))
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) or 1
     return os.cpu_count() or 1
 
 

@@ -99,7 +99,7 @@ def mono_divides(a: Monomial, b: Monomial) -> bool:
 
 
 def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x if x >= y else y for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def mono_degree(m: Monomial) -> int:

@@ -4,9 +4,9 @@ from fractions import Fraction
 import pytest
 
 from satura.arith import QQ, prime_field
-from satura.groebner import (NotZeroDimensional, buchberger, ideal_degree,
-                             is_zero_dimensional, normal_form, quotient_basis,
-                             s_polynomial, verify_groebner)
+from satura.groebner import (GroebnerBasis, NotZeroDimensional, buchberger,
+                             ideal_degree, is_zero_dimensional, normal_form,
+                             quotient_basis, s_polynomial, verify_groebner)
 from satura.poly import GREVLEX, LEX, PolyRing, mono_div, mono_divides, mono_lcm
 
 # F_5, word-size primes at 15 and 30 bits, the Mersenne prime 2^61 - 1
@@ -35,6 +35,10 @@ def test_textbook_basis():
     assert set(map(str, gb)) == {"x^2 + y", "x*y - 1", "y^2 + x"}
     assert verify_groebner(gb)
     assert ideal_degree(gb) == 3
+    # the run's counters ride along outside equality and hashing
+    assert gb.stats.spairs_reduced >= 1 and gb.stats.width == 8
+    bare = GroebnerBasis(R, gb.generators)
+    assert bare.stats is None and bare == gb and hash(bare) == hash(gb)
 
 
 def test_katsura2_lex():
@@ -205,12 +209,33 @@ def random_field_poly(ring, rng, terms=4, max_deg=3):
     return ring.poly(out)
 
 
+# systems with linear generators, in (x, y, z), with the number of
+# generators buchberger sets aside as linear under grevlex and lex
+LINEAR_CASES = (
+    # independent linear forms beside nonlinear generators (under lex,
+    # z^2 + x - 3 leads with x and makes the linear form nonlinear)
+    (("x + 2*y - z + 1", "y^2 - x*z + 2", "z^2 + x - 3"), (1, 0)),
+    # linear forms that autoreduction makes dependent
+    (("x + y + z - 1", "x - y + 2*z", "2*x + 3*z - 1", "y*z + z^2 - 3"),
+     (2, 2)),
+    # all linear
+    (("x + y - 2*z + 1", "y + z - 1", "x - z + 3"), (3, 3)),
+    # an inconsistent linear system: the unit ideal
+    (("x + y + z", "x + y + z + 1", "z^2 - y"), (0, 0)),
+    # nonlinear generators whose difference autoreduction makes linear
+    (("x*y + y - z", "x*y + 2*z - 1", "y^2 - x*z"), (1, 1)),
+    # under lex, x + y^3 - 1 has a degree-1 leading term but is not linear
+    (("x + y^3 - 1", "y^2 + z - 2", "z^2 - y*z + 2"), (0, 0)),
+)
+
+
 @pytest.mark.parametrize("field", KERNEL_FIELDS, ids=lambda f: f.descriptor)
 def test_kernel_matches_textbook_division(field):
     rng = random.Random(41)
     # lex bases of random trivariate cubics can take minutes; two variables
     for order, names in ((GREVLEX, ("x", "y", "z")), (LEX, ("x", "y"))):
         R = PolyRing(names, field, order)
+        R3 = PolyRing(("x", "y", "z"), field, order)
         for _ in range(8):
             divisors = [random_field_poly(R, rng) for _ in range(3)]
             f = random_field_poly(R, rng, terms=6, max_deg=4)
@@ -225,6 +250,12 @@ def test_kernel_matches_textbook_division(field):
                     assert textbook_normal_form(spoly, list(gb)).is_zero()
             for d in divisors:
                 assert textbook_normal_form(d, list(gb)).is_zero()
+        for case, set_aside in LINEAR_CASES:
+            gens = [R3.parse(t) for t in case]
+            gb = buchberger(gens)
+            assert set(gb) == set(
+                textbook_reduced_basis(list(map(as_fractions, gens))))
+            assert gb.stats.linear_set_aside == set_aside[order is LEX]
 
 
 def test_integer_coefficients_over_q_stay_exact():
@@ -264,6 +295,16 @@ def test_packed_exponent_overflow_raises():
         # in range: reduction runs up to the largest packable exponent
         assert normal_form(R.parse("x^2"), [R.parse("x - y^16383")]) \
             == R.parse("y^32766")
+        # buchberger packs 8-bit fields first and reruns with 16 bits:
+        # an input exponent above 127, then a remainder above 127
+        for gens in (["x^200 + y", "y^2 - 1"], ["x - y^100", "x^2 - y"]):
+            gens = [R.parse(t) for t in gens]
+            gb = buchberger(gens)
+            assert gb.stats.width == 16
+            assert set(gb) == set(textbook_reduced_basis(
+                list(map(as_fractions, gens))))
+        with pytest.raises(OverflowError):  # y^20000 * y^20000
+            buchberger([R.parse("x - y^20000"), R.parse("x^2 - y")])
 
 
 def textbook_reduced_basis(gens):
@@ -318,6 +359,14 @@ def random_q_system(ring, rng, count, max_deg, fractional):
     return out
 
 
+def random_linear_form(ring, rng):
+    n = ring.nvars
+    terms = [(tuple(int(k == j) for k in range(n)),
+              Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+             for j in range(n)]
+    return ring.poly(terms + [((0,) * n, Fraction(rng.randint(-4, 4)))])
+
+
 @pytest.mark.parametrize("order", (GREVLEX, LEX), ids=lambda o: o.name)
 def test_rational_bases_match_textbook_buchberger(order):
     rng = random.Random(43)
@@ -333,6 +382,17 @@ def test_rational_bases_match_textbook_buchberger(order):
         assert all(isinstance(c, Fraction) for g in gb for _, c in g.terms)
         checked += 1
     assert checked >= 15
+    # one or two random linear forms beside multilinear generators
+    R3 = PolyRing(("x", "y", "z"), QQ, order)
+    set_aside = set()
+    for t in range(12):
+        gens = [random_linear_form(R3, rng) for _ in range(1 + t % 2)]
+        gens += random_q_system(R3, rng, 2, 1, fractional=t % 2 == 1)
+        gb = buchberger(gens)
+        assert set(gb) == set(textbook_reduced_basis(list(map(as_fractions,
+                                                              gens))))
+        set_aside.add(gb.stats.linear_set_aside)
+    assert {1, 2} <= set_aside
 
 
 def test_rational_reducers_not_monic_or_primitive():

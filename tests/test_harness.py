@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import os
 
 import pytest
 
@@ -185,3 +186,14 @@ def test_default_threads_env(monkeypatch):
     assert default_threads() == 3
     monkeypatch.delenv("SATURA_THREADS")
     assert default_threads() >= 1
+
+
+def test_default_threads_follow_cpu_affinity(monkeypatch):
+    # one usable CPU on a many-CPU machine means one worker
+    monkeypatch.delenv("SATURA_THREADS", raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    assert default_threads() == 1
+    monkeypatch.setenv("SATURA_THREADS", "3")
+    assert default_threads() == 3

@@ -274,3 +274,23 @@ def test_permutation_invariance_of_modal_count():
         return counts.most_common(1)[0][0]
 
     assert modal(inst) == modal(flipped) == 5
+
+
+@pytest.mark.parametrize("p", (32771, 1073741789))
+def test_alt_cell_engine_counts(p):
+    # the S-pair sequence of the alt g7/g6 cells, pinned at seed 2024 and
+    # the benchmark's two split seeds: (i, S-pairs reduced, to zero,
+    # linear generators set aside, variables left)
+    alt, field = alt_system(), prime_field(p)
+    for seed in (2024, split_seed(2024, 1), split_seed(2024, 2)):
+        for i, spairs, zero, linear, nvars in ((7, 14, 4, 7, 2),
+                                               (6, 168, 54, 6, 3)):
+            params = draw_parameters(i, alt.n, alt.r, field, seed)
+            gb = buchberger(build_saturated_system(alt, params).generators)
+            st = gb.stats
+            assert (st.spairs_reduced, st.zero_reductions) == (spairs, zero)
+            assert (st.linear_set_aside, st.reduced_nvars) == (linear, nvars)
+            assert st.width == 8
+            # every pair created was pruned or reduced
+            assert st.pairs_created == (st.pairs_pruned_new
+                                        + st.pairs_pruned_chain + spairs)
