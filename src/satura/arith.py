@@ -64,18 +64,6 @@ def is_probable_prime(n: int) -> bool:
     return True
 
 
-def xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Return (g, u, v) with u*a + v*b = g = gcd(a, b)."""
-    u0, u1 = 1, 0
-    v0, v1 = 0, 1
-    while b:
-        q, r = divmod(a, b)
-        a, b = b, r
-        u0, u1 = u1, u0 - q * u1
-        v0, v1 = v1, v0 - q * v1
-    return a, u0, v0
-
-
 class PrimeField:
     """Arithmetic context for F_p, p prime and below 2**62.
 
@@ -115,9 +103,7 @@ class PrimeField:
     def inv(self, a):
         if a % self.p == 0:
             raise ZeroInversion(f"0 has no inverse in F_{self.p}")
-        g, u, _ = xgcd(a % self.p, self.p)
-        # g is 1 since p is prime and a nonzero
-        return u % self.p
+        return pow(a, -1, self.p)
 
     def div(self, a, b):
         return a * self.inv(b) % self.p
@@ -253,6 +239,4 @@ def reduce_rational_mod_p(q: Fraction, p: int) -> int:
     den = q.denominator % p
     if den == 0:
         raise DenominatorVanishes(f"denominator of {q} vanishes mod {p}")
-    num = q.numerator % p
-    g, u, _ = xgcd(den, p)
-    return num * (u % p) % p
+    return q.numerator * pow(den, -1, p) % p

@@ -7,9 +7,9 @@ rigorous enclosure [lo, hi] built from Bernoulli's inequality and
 (1-1/p)^p >= 1/4, both one-sided and exact.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 from typing import Optional
 
 
@@ -18,10 +18,7 @@ def bezout_bound(degrees) -> int:
     degrees = tuple(degrees)
     if not degrees or any(d < 1 for d in degrees):
         raise ValueError("degrees must be a non-empty positive list")
-    out = 1
-    for d in degrees:
-        out *= d
-    return out
+    return prod(degrees)
 
 
 @dataclass(frozen=True)
@@ -40,7 +37,6 @@ class BoundsInput:
     g_upper: int
     p: Optional[int] = None
     nu: Optional[int] = None
-    degrees: Optional[tuple] = None
 
     def __post_init__(self):
         if min(self.n, self.r, self.d_min, self.d_max) < 1:
@@ -57,8 +53,7 @@ class BoundsInput:
                     p: Optional[int] = None, nu: Optional[int] = None):
         degrees = tuple(degrees)
         return cls(n=n, r=len(degrees), d_min=min(degrees), d_max=max(degrees),
-                   deg_v=bezout_bound(degrees), g_upper=g_upper, p=p, nu=nu,
-                   degrees=degrees)
+                   deg_v=bezout_bound(degrees), g_upper=g_upper, p=p, nu=nu)
 
     def resolved_nu(self) -> int:
         return self.nu if self.nu is not None else nu_upper_bound(self.g_upper, self.n)
@@ -156,9 +151,7 @@ def min_prime_exponent(inp: BoundsInput, target: Fraction) -> int:
         raise ValueError("target must be strictly between 0 and 1")
 
     def ok(k: int) -> bool:
-        probe = BoundsInput(inp.n, inp.r, inp.d_min, inp.d_max, inp.deg_v,
-                            inp.g_upper, p=1 << k, nu=inp.resolved_nu(),
-                            degrees=inp.degrees)
+        probe = replace(inp, p=1 << k, nu=inp.resolved_nu())
         return success_probability_lower_bound(probe, bit_budget=0).lo >= target
 
     hi = 1
@@ -202,13 +195,13 @@ class BoundsReport:
         }
 
 
-def bounds_report(inp: BoundsInput, target: Optional[Fraction] = None,
-                  bit_budget: int = _DEFAULT_BIT_BUDGET) -> BoundsReport:
+def bounds_report(inp: BoundsInput,
+                  target: Optional[Fraction] = None) -> BoundsReport:
     """Everything the formulas yield for one input, in one pass."""
     nu = inp.resolved_nu()
     lucky = success = None
     if inp.p is not None:
-        lucky = lucky_probability_lower_bound(inp.p, nu, bit_budget)
-        success = success_probability_lower_bound(inp, bit_budget)
+        lucky = lucky_probability_lower_bound(inp.p, nu)
+        success = success_probability_lower_bound(inp)
     k = min_prime_exponent(inp, target) if target is not None else None
     return BoundsReport(inp, discriminant_degree_bound(inp), nu, lucky, success, k)

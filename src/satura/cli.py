@@ -14,8 +14,7 @@ from fractions import Fraction
 from .arith import prime_field
 from .bounds import BoundsInput, bezout_bound, bounds_report
 from .groebner import buchberger, ideal_degree, is_zero_dimensional
-from .harness import (default_threads, gi_table, hilbert_table, run_capped,
-                      run_trials)
+from .harness import gi_table, hilbert_table, run_capped, run_trials
 from .hilbert import emit_certification_system, jde_dimension
 from .poly import order_from_name, polys_from_json, polys_to_json
 from .problems import PROBLEMS, ProblemInstance, conics_pstar_system, get_problem
@@ -52,7 +51,10 @@ def _emit(text: str, out_path: str = None) -> None:
 
 
 def _int_list(text: str):
-    return [int(x) for x in text.split(",") if x.strip() != ""]
+    out = [int(x) for x in text.split(",") if x.strip() != ""]
+    if not out:
+        raise ValueError(f"expected a comma list of integers, got {text!r}")
+    return out
 
 
 def _emit_run(run, args) -> int:
@@ -76,6 +78,8 @@ def _cmd_gi(args) -> int:
     problem = _resolve_problem(args.problem, args.order)
     i_list = _int_list(args.i)
     p_list = _int_list(args.prime)
+    if args.trials is not None and (len(i_list) > 1 or len(p_list) > 1):
+        raise ValueError("--trials takes a single --i and --prime")
     if args.trials and args.trials > 1:
         return _emit_run(run_trials(problem, i_list[0], p_list[0], args.trials,
                                     args.seed, threads=args.threads,
@@ -112,7 +116,7 @@ def _cmd_hilbert(args) -> int:
 
 
 def _cmd_jde(args) -> int:
-    if args.file:
+    if args.file is not None:
         _, polys = _load_system(args.file, order_from_name(args.order))
     else:
         polys = list(_resolve_problem(args.problem, args.order).polys)
@@ -131,20 +135,17 @@ def _cmd_trials(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    p = (1 << args.prime_exp) + 1 if args.prime_exp else None
     if args.degrees:
         degrees = _int_list(args.degrees)
         n = args.n or len(degrees)
-        inp = BoundsInput.from_system(degrees, n, args.g_upper,
-                                      p=(1 << args.prime_exp) + 1 if args.prime_exp else None,
-                                      nu=args.nu)
+        inp = BoundsInput.from_system(degrees, n, args.g_upper, p=p, nu=args.nu)
     else:
         for name in ("n", "r", "dmin", "dmax", "deg_v"):
             if getattr(args, name) is None:
                 raise ValueError(f"--{name.replace('_', '-')} is required without --degrees")
         inp = BoundsInput(args.n, args.r, args.dmin, args.dmax, args.deg_v,
-                          args.g_upper,
-                          p=(1 << args.prime_exp) + 1 if args.prime_exp else None,
-                          nu=args.nu)
+                          args.g_upper, p=p, nu=args.nu)
     target = Fraction(args.target) if args.target else None
     _emit(json.dumps(bounds_report(inp, target).to_dict(), indent=2), args.out)
     return 0
@@ -227,8 +228,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("jde", parents=[common],
                        help="dimension of the degree-(d+e) reduction space J_d^e")
-    g.add_argument("--file", default=None)
-    g.add_argument("--problem", default=None)
+    src = g.add_mutually_exclusive_group(required=True)
+    src.add_argument("--file")
+    src.add_argument("--problem")
     g.add_argument("--d", type=int, required=True)
     g.add_argument("--e", type=int, required=True)
     g.set_defaults(fn=_cmd_jde)
@@ -274,8 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    if args.threads is None:
-        args.threads = default_threads()
     # tables and trials resolve "auto" to the harness's per-i default cap
     args.timeout_s = args.timeout_s or "auto"
     try:

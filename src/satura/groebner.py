@@ -65,7 +65,7 @@ class _Codec:
     from no field, that is when `not (sign * (a - b) & guards)`.
     """
 
-    __slots__ = ("n", "cap", "shifts", "guards", "mask", "complement",
+    __slots__ = ("n", "cap", "shifts", "guards", "mask", "flip",
                  "sign", "one", "degshift")
 
     def __init__(self, n: int, order_name: str, width: int):
@@ -77,40 +77,34 @@ class _Codec:
             # layout [deg | cap-e_n | ... | cap-e_1]; bigger int = bigger monomial
             self.shifts = tuple(j * w for j in range(n))
             self.degshift = n * w
-            self.complement = True
+            self.flip = self.cap
+            self.sign = 1
         elif order_name == "lex":
             # layout [e_1 | e_2 | ... | e_n]
             self.shifts = tuple((n - 1 - j) * w for j in range(n))
             self.degshift = None
-            self.complement = False
+            self.flip = 0
+            self.sign = -1
         else:
             raise ValueError(f"unsupported order {order_name!r}")
-        self.sign = 1 if self.complement else -1
         self.guards = 0
         for s in self.shifts:
             self.guards |= 1 << (s + w - 1)
         self.one = self.pack((0,) * n)
 
     def pack(self, m) -> int:
-        cap = self.cap
-        if self.complement:
-            p = sum(m) << self.degshift
-            for e, s in zip(m, self.shifts):
-                if e > cap:
-                    raise OverflowError(f"exponent {e} exceeds packing width")
-                p |= (cap - e) << s
-            return p
-        p = 0
+        # cap - e == cap ^ e for 0 <= e <= cap: flip stores the complement
+        cap, flip = self.cap, self.flip
+        p = 0 if self.degshift is None else sum(m) << self.degshift
         for e, s in zip(m, self.shifts):
             if e > cap:
                 raise OverflowError(f"exponent {e} exceeds packing width")
-            p |= e << s
+            p |= (e ^ flip) << s
         return p
 
     def unpack(self, p: int) -> tuple:
-        if self.complement:
-            return tuple(self.cap - ((p >> s) & self.mask) for s in self.shifts)
-        return tuple((p >> s) & self.mask for s in self.shifts)
+        mask, flip = self.mask, self.flip
+        return tuple(((p >> s) & mask) ^ flip for s in self.shifts)
 
 
 @lru_cache(maxsize=None)

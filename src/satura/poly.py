@@ -419,13 +419,13 @@ def exact_degree_monomials(n: int, deg: int):
             yield (e,) + rest
 
 
-def monomials_up_to_degree(n: int, d: int, order=GREVLEX) -> list:
-    """All exponent tuples of total degree <= d, sorted descending."""
+def monomials_up_to_degree(n: int, d: int) -> list:
+    """All exponent tuples of total degree <= d, grevlex descending."""
     if n < 1 or d < 0:
         raise ValueError("need n >= 1 and d >= 0")
     return sorted((m for deg in range(d + 1)
                    for m in exact_degree_monomials(n, deg)),
-                  key=order.key, reverse=True)
+                  key=GREVLEX.key, reverse=True)
 
 
 # --- text format ----------------------------------------------------------

@@ -157,17 +157,15 @@ def _check_prime_size(field, polys) -> None:
                 f"coefficient magnitude {bound}")
 
 
-def compute_gi(f, i: int, field, seed: int, qrange=(-99, 99)) -> GiResult:
+def compute_gi(f, i: int, field, seed: int) -> GiResult:
     """One randomized g_i evaluation.
 
     Degenerate draws raise NotZeroDimensional rather than retrying; the
     trial harness counts them.  A unit ideal is a valid outcome with
     value 0 and is flagged instead of raised.
     """
-    if isinstance(field, str):
-        field = field_from_descriptor(field)
     _check_prime_size(field, f.polys)
-    params = draw_parameters(i, f.n, f.r, field, seed, qrange)
+    params = draw_parameters(i, f.n, f.r, field, seed)
     system = build_saturated_system(f, params)
     start = time.perf_counter()
     basis = buchberger(system.generators)

@@ -6,7 +6,7 @@ import pytest
 from satura.arith import (QQ, DenominatorVanishes, InvalidModulus, PrimeField,
                           ZeroInversion, field_from_descriptor,
                           is_probable_prime, prime_field,
-                          reduce_rational_mod_p, xgcd)
+                          reduce_rational_mod_p)
 
 PRIMES = (2, 3, 5, 7, 251, 8191, 32003, 32771, (1 << 31) + 11)
 COMPOSITES = (0, 1, 4, 9, 561, 32769, 32003 * 32771, 1 << 40)
@@ -17,15 +17,6 @@ def test_primality_knowns():
         assert is_probable_prime(p), p
     for n in COMPOSITES:
         assert not is_probable_prime(n), n
-
-
-def test_xgcd_bezout():
-    rng = random.Random(1)
-    for _ in range(200):
-        a, b = rng.randrange(1, 10 ** 9), rng.randrange(1, 10 ** 9)
-        g, u, v = xgcd(a, b)
-        assert u * a + v * b == g
-        assert a % g == 0 and b % g == 0
 
 
 def test_field_axioms_fuzz():

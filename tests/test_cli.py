@@ -139,6 +139,32 @@ def test_jde_problem_and_file(capsys, tmp_path):
     assert code == 0 and json.loads(out)["bound"] == 1
 
 
+def test_jde_needs_exactly_one_source(capsys):
+    for extra in ((), ("--file", "sys.json", "--problem", "monomial")):
+        with pytest.raises(SystemExit) as exc:
+            main(["jde", "--d", "1", "--e", "1", *extra])
+        assert exc.value.code == 2
+
+
+def test_gi_bad_index_lists_exit_2(capsys):
+    code, out, err = run(capsys, "gi", "--problem", "monomial", "--i", "",
+                         "--prime", "32003")
+    assert code == 2 and "error" in err and out == ""
+    # a trial batch runs one (i, p) cell: a list would drop all but the first
+    code, out, err = run(capsys, "gi", "--problem", "monomial", "--i", "1,0",
+                         "--prime", "32003", "--trials", "3")
+    assert code == 2 and "--trials" in err and out == ""
+
+
+def test_bad_threads_env_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("SATURA_THREADS", "abc")
+    code, _, _ = run(capsys, "bounds", "--degrees", "2,3", "--g-upper", "6")
+    assert code == 0
+    code, out, err = run(capsys, "trials", "--problem", "monomial", "--i", "1",
+                         "--prime", "32003", "--trials", "2")
+    assert code == 2 and "error" in err and out == ""
+
+
 def test_bounds_degrees_shortcut(capsys):
     code, out, _ = run(capsys, "bounds", "--degrees",
                        "2,3,3,4,4,5,5,4,5,5,6,6,6,7,7", "--n", "8",

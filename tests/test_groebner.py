@@ -4,9 +4,10 @@ from fractions import Fraction
 import pytest
 
 from satura.arith import QQ, prime_field
-from satura.groebner import (GroebnerBasis, NotZeroDimensional, buchberger,
-                             ideal_degree, is_zero_dimensional, normal_form,
-                             quotient_basis, s_polynomial, verify_groebner)
+from satura.groebner import (GroebnerBasis, NotZeroDimensional, _Codec,
+                             buchberger, ideal_degree, is_zero_dimensional,
+                             normal_form, quotient_basis, s_polynomial,
+                             verify_groebner)
 from satura.poly import GREVLEX, LEX, PolyRing, mono_div, mono_divides, mono_lcm
 
 # F_5, word-size primes at 15 and 30 bits, the Mersenne prime 2^61 - 1
@@ -277,6 +278,29 @@ def test_multiple_of_p_coefficient_is_zero_mod_p():
     R = PolyRing(("x",), prime_field(7))
     gb = buchberger([R.poly([((1,), 7)]), R.parse("x^2+1")])
     assert list(gb) == [R.parse("x^2 + 1")]
+
+
+@pytest.mark.parametrize("width", (8, 16))
+@pytest.mark.parametrize("order", (GREVLEX, LEX), ids=lambda o: o.name)
+def test_codec_layout(order, width):
+    # the packed int realises the ring order, and sign/guards test divisibility
+    R = PolyRing(("w", "x", "y", "z"), QQ, order)
+    codec = _Codec(R.nvars, order.name, width)
+    cap, rng = codec.cap, random.Random(width)
+    exps = (0, 1, 2, 3, cap - 1, cap)
+    monos = [tuple(rng.choice(exps) for _ in range(R.nvars)) for _ in range(60)]
+    monos += [(0,) * R.nvars, (cap,) * R.nvars]
+    packed = [codec.pack(m) for m in monos]
+    for a, pa in zip(monos, packed):
+        assert codec.unpack(pa) == a
+        for b, pb in zip(monos, packed):
+            assert (pa < pb) == (R.key(a) < R.key(b))
+            assert (pa == pb) == (a == b)
+            divides = not (codec.sign * (pa - pb) & codec.guards)
+            assert divides == mono_divides(a, b)
+    assert codec.one == codec.pack((0,) * R.nvars)
+    with pytest.raises(OverflowError):
+        codec.pack((0, cap + 1, 0, 0))
 
 
 def test_packed_exponent_overflow_raises():
