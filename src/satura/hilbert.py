@@ -175,6 +175,13 @@ def jde_dimension(h, d: int, e: int):
 
     Columns are ordered high degree first, so pivots landing in the tail
     block count exactly the vectors of the span that live in degree <= d.
+
+    All Macaulay rows are built first and inserted in ascending order of
+    leading monomial (largest leading column first; the sort is stable,
+    so ties keep generation order), as in F4's linear algebra: this
+    keeps the reduction chains short.  The set of pivot columns of an
+    echelon form depends only on the row space, so the count does not
+    depend on the order.
     """
     if d < 0 or e < 0:
         raise ValueError("d and e must be non-negative")
@@ -188,7 +195,7 @@ def jde_dimension(h, d: int, e: int):
     index = {m: j for j, m in enumerate(cols)}
     low_start = len(cols) - comb(n + d, d)
 
-    pivots = {}
+    rows = []
     for f in h:
         df = f.degree()
         if df > D:
@@ -199,8 +206,11 @@ def jde_dimension(h, d: int, e: int):
             terms = [(fm, int(c * s)) for fm, c in terms]
         for deg in range(D - df + 1):
             for m in exact_degree_monomials(n, deg):
-                row = {index[mono_mul(fm, m)]: c for fm, c in terms}
-                _echelon_insert(pivots, row, mod)
+                rows.append({index[mono_mul(fm, m)]: c for fm, c in terms})
+    rows.sort(key=min, reverse=True)
+    pivots = {}
+    for row in rows:
+        _echelon_insert(pivots, row, mod)
     dim = sum(1 for c in pivots if c >= low_start)
     return dim, comb(n + d, d) - dim
 

@@ -163,6 +163,7 @@ def test_bad_threads_env_exits_2(capsys, monkeypatch):
     code, out, err = run(capsys, "trials", "--problem", "monomial", "--i", "1",
                          "--prime", "32003", "--trials", "2")
     assert code == 2 and "error" in err and out == ""
+    assert "SATURA_THREADS" in err and "'abc'" in err
 
 
 def test_bounds_degrees_shortcut(capsys):

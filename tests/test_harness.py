@@ -184,6 +184,12 @@ def test_hilbert_table_timeout():
 def test_default_threads_env(monkeypatch):
     monkeypatch.setenv("SATURA_THREADS", "3")
     assert default_threads() == 3
+    for clamped in ("0", "-2"):
+        monkeypatch.setenv("SATURA_THREADS", clamped)
+        assert default_threads() == 1
+    monkeypatch.setenv("SATURA_THREADS", "abc")
+    with pytest.raises(ValueError, match="SATURA_THREADS.*'abc'"):
+        default_threads()
     monkeypatch.delenv("SATURA_THREADS")
     assert default_threads() >= 1
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -13,7 +14,7 @@ from satura.hilbert import (BudgetExceeded, DuplicatePoints,
                             find_points_bruteforce, jde_dimension,
                             monomial_columns, veronese_matrix,
                             veronese_rank_lower_bound)
-from satura.poly import LEX, PolyRing, polys_from_json
+from satura.poly import GREVLEX, LEX, PolyRing, polys_from_json
 from satura.problems import conics_pstar_system
 
 
@@ -101,7 +102,7 @@ def test_jde_mod_p_matches_rational():
     combos = conics_pstar_system()
     ring_p = combos[0].ring.with_field(prime_field(32003))
     combos_p = [ring_p.coerce(g) for g in combos]
-    for d, e in ((1, 3), (2, 1), (2, 2), (2, 3), (3, 1)):
+    for d, e in ((1, 3), (2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 3)):
         assert jde_dimension(combos_p, d, e) == jde_dimension(combos, d, e)
 
 
@@ -113,6 +114,43 @@ def test_jde_independent_of_ring_order():
     combos_lex = [ring_lex.coerce(g) for g in combos]
     for d, e in ((2, 2), (2, 3), (3, 1)):
         assert jde_dimension(combos_lex, d, e) == jde_dimension(combos, d, e)
+
+
+@pytest.mark.parametrize("order", (GREVLEX, LEX), ids=("grevlex", "lex"))
+@pytest.mark.parametrize("p", (5, 32771, 2 ** 61 - 1, pytest.param(None, id="Q")))
+def test_jde_matches_dense_macaulay_rank(p, order):
+    # the Macaulay matrix in generation order (generator, then shift),
+    # eliminated densely: the degree <= d part of the span has dimension
+    # rank(M) - rank(M restricted to the columns of degree > d)
+    rng = random.Random(47)
+    F = QQ if p is None else prime_field(p)
+    for _ in range(25):
+        n = rng.randrange(2, 4)
+        R = PolyRing(("x", "y", "z")[:n], F, order)
+        h = []
+        for _ in range(rng.randrange(1, 4)):
+            deg = rng.randrange(1, 4)
+            monos = [m for m in itertools.product(range(deg + 1), repeat=n)
+                     if sum(m) <= deg]
+            lead = rng.choice([m for m in monos if sum(m) == deg])
+            h.append(R.poly([(lead, 1)] + [(m, rng.randint(-5, 5)) for m in monos
+                                           if m != lead and rng.random() < 0.5]))
+        if rng.random() < 0.5:   # a dependent generator
+            h.append(h[0] * R.var("x") + h[-1].scale(F.element(3)))
+        D = rng.randrange(0, 6)
+        d = rng.randrange(0, D + 1)
+        cols = [m for m in itertools.product(range(D + 1), repeat=n)
+                if sum(m) <= D]
+        rows = []
+        for f in h:
+            for shift in cols:
+                if sum(shift) + f.degree() <= D:
+                    g = f * R.poly([(shift, 1)])
+                    coeffs = dict(g.terms)
+                    rows.append([coeffs.get(m, 0) for m in cols])
+        high = [j for j, m in enumerate(cols) if sum(m) > d]
+        dim = dense_rank(rows, F) - dense_rank([[r[j] for j in high] for r in rows], F)
+        assert jde_dimension(h, d, D - d) == (dim, math.comb(n + d, d) - dim)
 
 
 def test_jde_sandwich_fuzz():
