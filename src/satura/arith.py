@@ -10,9 +10,10 @@ None for Q.  Hot kernels (Groebner normal forms, the echelon) take
 that modulus instead of a field object and do plain number arithmetic,
 reducing mod p only where a coefficient must be canonical.
 
-The remaining methods (add/sub/mul/neg/inv/div, from_int,
-from_fraction, to_str/from_str) are the few-coefficient API for code
-that handles a coefficient or two at a time.
+Besides .p, .zero, .one and .descriptor, a field answers only
+element(c), inv(a) and from_str(s).  from_str reads a coefficient
+from outside (an int or a decimal string, as the JSON layout has it)
+through element and raises ValueError on anything else.
 """
 
 from fractions import Fraction
@@ -64,7 +65,22 @@ def is_probable_prime(n: int) -> bool:
     return True
 
 
-class PrimeField:
+class _Field:
+    __slots__ = ()
+
+    def from_str(self, s):
+        """The element written s: an int, or a decimal string such as
+        "3" or "-7/3".  Floats, bools, None and lists, an unreadable
+        string and a denominator that vanishes mod p raise ValueError."""
+        if isinstance(s, bool) or not isinstance(s, (int, str)):
+            raise ValueError(f"coefficient {s!r} is not an integer or a string")
+        try:
+            return self.element(Fraction(s))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"coefficient {s!r}: {exc}") from None
+
+
+class PrimeField(_Field):
     """Arithmetic context for F_p, p prime and below 2**62.
 
     Elements are ints in [0, p-1]; the context is obtained through
@@ -86,49 +102,21 @@ class PrimeField:
     def descriptor(self) -> str:
         return f"Fp:{self.p}"
 
-    def add(self, a, b):
-        c = a + b
-        return c - self.p if c >= self.p else c
-
-    def sub(self, a, b):
-        c = a - b
-        return c + self.p if c < 0 else c
-
-    def mul(self, a, b):
-        return a * b % self.p
-
-    def neg(self, a):
-        return self.p - a if a else 0
-
     def inv(self, a):
         if a % self.p == 0:
             raise ZeroInversion(f"0 has no inverse in F_{self.p}")
         return pow(a, -1, self.p)
-
-    def div(self, a, b):
-        return a * self.inv(b) % self.p
 
     def element(self, c) -> int:
         """The canonical residue of an int or a Fraction."""
         if isinstance(c, int):
             return c % self.p
         if isinstance(c, Fraction):
-            return reduce_rational_mod_p(c, self.p)
+            den = c.denominator % self.p
+            if den == 0:
+                raise DenominatorVanishes(f"denominator of {c} vanishes mod {self.p}")
+            return c.numerator * pow(den, -1, self.p) % self.p
         raise TypeError(f"coefficient {c!r} is not an int or a Fraction")
-
-    def from_int(self, n: int):
-        return n % self.p
-
-    def from_fraction(self, q: Fraction):
-        return reduce_rational_mod_p(q, self.p)
-
-    def to_str(self, a) -> str:
-        return str(a)
-
-    def from_str(self, s: str):
-        if "/" in s:
-            return self.from_fraction(Fraction(s))
-        return int(s) % self.p
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
@@ -140,7 +128,7 @@ class PrimeField:
         return f"PrimeField({self.p})"
 
 
-class RationalField:
+class RationalField(_Field):
     """Arithmetic context for exact rationals."""
 
     __slots__ = ("zero", "one")
@@ -154,27 +142,10 @@ class RationalField:
     def descriptor(self) -> str:
         return "Q"
 
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
     def inv(self, a):
         if not a:
             raise ZeroInversion("0 has no inverse in Q")
         return Fraction(1, a)
-
-    def div(self, a, b):
-        if not b:
-            raise ZeroInversion("0 has no inverse in Q")
-        return Fraction(a, b)
 
     def element(self, c) -> Fraction:
         """c as a Fraction; c must be an int or a Fraction."""
@@ -183,18 +154,6 @@ class RationalField:
         if isinstance(c, int):
             return Fraction(c)
         raise TypeError(f"coefficient {c!r} is not an int or a Fraction")
-
-    def from_int(self, n: int):
-        return Fraction(n)
-
-    def from_fraction(self, q: Fraction):
-        return q
-
-    def to_str(self, a) -> str:
-        return str(a)
-
-    def from_str(self, s: str):
-        return Fraction(s)
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -232,11 +191,3 @@ def primitive_scale(coeffs) -> Fraction:
         den = lcm(den, c.denominator)
         num = gcd(num, c.numerator)
     return Fraction(den, num)
-
-
-def reduce_rational_mod_p(q: Fraction, p: int) -> int:
-    """Image of an exact rational in F_p; the denominator must not vanish."""
-    den = q.denominator % p
-    if den == 0:
-        raise DenominatorVanishes(f"denominator of {q} vanishes mod {p}")
-    return q.numerator * pow(den, -1, p) % p

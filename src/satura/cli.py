@@ -8,6 +8,7 @@ reports {"timeout": true} and exits 3 the same way.
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -23,9 +24,7 @@ from .saturate import compute_gi
 
 def _load_system(path, order):
     with open(path) as fh:
-        obj = json.load(fh)
-    ring, polys = polys_from_json(obj, order)
-    return ring, polys
+        return polys_from_json(json.load(fh), order)
 
 
 def _resolve_problem(spec: str, order_name: str = "grevlex") -> ProblemInstance:
@@ -55,6 +54,18 @@ def _int_list(text: str):
     if not out:
         raise ValueError(f"expected a comma list of integers, got {text!r}")
     return out
+
+
+def _non_negative(kind):
+    """An argparse type: kind(text), refused unless finite and >= 0."""
+    def convert(text: str):
+        x = kind(text)
+        if not 0 <= x < math.inf:
+            raise argparse.ArgumentTypeError(
+                f"expected a non-negative {kind.__name__}, got {text!r}")
+        return x
+    convert.__name__ = kind.__name__  # argparse says "invalid int value: ..."
+    return convert
 
 
 def _emit_run(run, args) -> int:
@@ -180,7 +191,7 @@ def _cmd_emit_cert(args) -> int:
     with open(args.points) as fh:
         raw_pts = json.load(fh)
     field = polys[0].ring.field
-    points = [tuple(field.from_str(str(x)) for x in pt) for pt in raw_pts]
+    points = [tuple(field.from_str(x) for x in pt) for pt in raw_pts]
     with open(args.columns) as fh:
         columns = [tuple(m) for m in json.load(fh)]
     cert = emit_certification_system(polys, points, args.d, columns)
@@ -194,7 +205,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--threads", type=int, default=None,
                         help="worker processes (default: SATURA_THREADS, else the "
                              "CPUs this process may run on)")
-    common.add_argument("--timeout-s", type=float, default=None, dest="timeout_s",
+    common.add_argument("--timeout-s", type=_non_negative(float), default=None,
+                        dest="timeout_s",
                         help="per-trial/cell wall clock cap in seconds")
     common.add_argument("--out", default=None, help="write output to this path")
     common.add_argument("--format", choices=("json", "csv"), default="json")
@@ -215,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="monomial-example | conics-affine | alt | conics-pstar | file:<path>")
     g.add_argument("--i", required=True, help="index or comma list")
     g.add_argument("--prime", required=True, help="prime or comma list")
-    g.add_argument("--trials", type=int, default=None)
+    g.add_argument("--trials", type=_non_negative(int), default=None)
     g.add_argument("--checkpoint", default=None, help="resumable cell store (JSON path)")
     g.set_defaults(fn=_cmd_gi)
 
@@ -239,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--problem", required=True)
     g.add_argument("--i", type=int, required=True)
     g.add_argument("--prime", type=int, required=True)
-    g.add_argument("--trials", type=int, required=True)
+    g.add_argument("--trials", type=_non_negative(int), required=True)
     g.add_argument("--reference", type=int, default=None,
                    help="success value (default: built-in table, else modal)")
     g.set_defaults(fn=_cmd_trials)

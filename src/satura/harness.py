@@ -188,7 +188,7 @@ def _summary(times) -> dict:
 
 def _resolve_timeout(timeout_s, i: int) -> Optional[float]:
     """timeout_s, or for "auto" 60 s when i >= 6 and none below: g5
-    (31-65 s on a 2-core box) and smaller i cells are long-running
+    (29-34 s on a 2-core box) and smaller i cells are long-running
     extended targets, so they stay uncapped."""
     if timeout_s == "auto":
         return 60.0 if i >= 6 else None

@@ -315,9 +315,9 @@ def emit_certification_system(system, points, d: int, columns) -> CertificationS
     if len(polys) != n:
         raise ValueError(
             f"well-constrained emission needs n = {n} generators, got {len(polys)}")
-    columns = [tuple(m) for m in columns]
+    columns = [ring.monomial(m).lm() for m in columns]  # PolyRing.poly checks m
     for m in columns:
-        if len(m) != n or sum(m) > d:
+        if sum(m) > d:
             raise ValueError(f"column {m} is not a degree-<={d} monomial")
     # invertibility of S_d at the points, checked exactly
     S = [evaluate_monomials(pt, columns, field) for pt in points]

@@ -13,7 +13,7 @@ parse_polynomial / print_polynomial and polys_to_json / polys_from_json.
 
 from fractions import Fraction
 
-from .arith import QQ, prime_field
+from .arith import QQ, field_from_descriptor, prime_field
 
 Monomial = tuple
 
@@ -146,7 +146,8 @@ class PolyRing:
     def poly(self, terms) -> "Polynomial":
         """The polynomial of (monomial, coefficient) pairs or a dict:
         like monomials summed, each sum made a field element (ints and
-        Fractions only, else TypeError), zeros dropped, sorted descending."""
+        Fractions only, else TypeError), zeros dropped, sorted descending.
+        An exponent that is not a non-negative int raises ValueError."""
         n = self.nvars
         checked = []
         for m, c in terms.items() if isinstance(terms, dict) else terms:
@@ -154,6 +155,8 @@ class PolyRing:
             if len(m) != n:
                 raise DimensionMismatch(
                     f"exponent vector of length {len(m)}, expected {n}")
+            if not all(type(e) is int and e >= 0 for e in m):
+                raise ValueError(f"exponent vector {m} needs non-negative ints")
             checked.append((m, c))
         return self._canonical(checked)
 
@@ -587,18 +590,17 @@ def polys_to_json(polys, ring: PolyRing = None) -> dict:
     for f in polys:
         if f.ring != ring:
             raise RingMismatch("mixed rings in JSON export")
-    to_str = ring.field.to_str
     return {
         "vars": list(ring.vars),
         "field": ring.field.descriptor,
-        "polys": [[[to_str(c), list(m)] for m, c in f.terms] for f in polys],
+        "polys": [[[str(c), list(m)] for m, c in f.terms] for f in polys],
     }
 
 
 def polys_from_json(obj: dict, order=GREVLEX):
-    """Inverse of polys_to_json; returns (ring, list of polynomials)."""
-    from .arith import field_from_descriptor
-
+    """Inverse of polys_to_json; returns (ring, list of polynomials).
+    Coefficients go through field.from_str and exponents through
+    PolyRing.poly, so a malformed one raises ValueError."""
     try:
         names = obj["vars"]
         field = field_from_descriptor(obj["field"])
@@ -610,9 +612,8 @@ def polys_from_json(obj: dict, order=GREVLEX):
     for entry in raw:
         terms = []
         for coeff, exps in entry:
-            if len(exps) != ring.nvars:
-                raise DimensionMismatch(
-                    f"exponent vector of length {len(exps)}, expected {ring.nvars}")
-            terms.append((tuple(exps), field.from_str(coeff)))
+            if not isinstance(exps, list):
+                raise ValueError(f"exponent vector {exps!r} is not a list")
+            terms.append((exps, field.from_str(coeff)))
         polys.append(ring.poly(terms))
     return ring, polys

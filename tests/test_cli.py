@@ -218,3 +218,73 @@ def test_emit_cert_round_trip(capsys, tmp_path):
                        "--points", str(pts_path), "--columns", str(cols_path),
                        "--d", "1")
     assert code == 2 and "error" in err
+
+
+def write_system(tmp_path, field, coeff, exps=(1, 0)):
+    """The system {coeff*x^a*y^b, y} as JSON, (a, b) = exps."""
+    path = tmp_path / "sys.json"
+    path.write_text(json.dumps({"vars": ["x", "y"], "field": field,
+                                "polys": [[[coeff, exps]], [["1", [0, 1]]]]}))
+    return str(path)
+
+
+def test_gb_reads_int_coefficients_in_both_fields(capsys, tmp_path):
+    for field in ("Fp:7", "Q"):
+        code, out, _ = run(capsys, "gb", "--file", write_system(tmp_path, field, 3))
+        assert code == 0
+        assert json.loads(out)["polys"] == [[["1", [0, 1]]], [["1", [1, 0]]]]
+
+
+@pytest.mark.parametrize("field, coeff, exps", [
+    ("Q", 0.1, (1, 0)), ("Fp:7", 0.1, (1, 0)), ("Q", True, (1, 0)),
+    ("Fp:7", None, (1, 0)), ("Q", [1], (1, 0)), ("Fp:7", "1/7", (1, 0)),
+    ("Fp:7", "1", (-1, 0)), ("Q", "1", (1.5, 0)), ("Fp:7", "1", 1)],
+    ids=lambda v: repr(v))
+def test_gb_refuses_malformed_terms_exit_2(capsys, tmp_path, field, coeff, exps):
+    path = write_system(tmp_path, field, coeff, exps)
+    code, out, err = run(capsys, "gb", "--file", path)
+    assert code == 2 and err.startswith("error:") and out == ""
+
+
+def test_jde_and_emit_cert_refuse_malformed_input_exit_2(capsys, tmp_path):
+    path = write_system(tmp_path, "Fp:7", "1/7")
+    code, out, err = run(capsys, "jde", "--file", path, "--d", "1", "--e", "0")
+    assert code == 2 and "'1/7'" in err and out == ""
+    pts_path = tmp_path / "pts.json"
+    pts_path.write_text(json.dumps([[1, 1]]))
+    cols_path = tmp_path / "cols.json"
+    cols_path.write_text(json.dumps([[0, 0]]))
+    code, out, err = run(capsys, "emit-cert", "--file", path, "--points",
+                         str(pts_path), "--columns", str(cols_path), "--d", "1")
+    assert code == 2 and "'1/7'" in err and out == ""
+    # a point coordinate is read like a coefficient: floats are refused
+    pts_path.write_text(json.dumps([[0.5, 1]]))
+    code, out, err = run(capsys, "emit-cert", "--file",
+                         write_system(tmp_path, "Q", "1"), "--points",
+                         str(pts_path), "--columns", str(cols_path), "--d", "1")
+    assert code == 2 and "0.5" in err and out == ""
+    # so is a column exponent: it must be a non-negative int
+    pts_path.write_text(json.dumps([[1, 1]]))
+    cols_path.write_text(json.dumps([[0, "1"]]))
+    code, out, err = run(capsys, "emit-cert", "--file",
+                         write_system(tmp_path, "Q", "1"), "--points",
+                         str(pts_path), "--columns", str(cols_path), "--d", "1")
+    assert code == 2 and "exponent" in err and out == ""
+
+
+def test_negative_trials_exit_2(capsys):
+    for command in ("gi", "trials"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--problem", "monomial", "--i", "1",
+                  "--prime", "32003", "--trials", "-3"])
+        out = capsys.readouterr()
+        assert exc.value.code == 2 and "--trials" in out.err and out.out == ""
+
+
+def test_negative_timeout_exit_2(capsys):
+    for extra in ((), ("--trials", "2", "--threads", "1")):
+        with pytest.raises(SystemExit) as exc:
+            main(["gi", "--problem", "monomial", "--i", "1", "--prime", "32003",
+                  "--timeout-s", "-1", *extra])
+        out = capsys.readouterr()
+        assert exc.value.code == 2 and "--timeout-s" in out.err and out.out == ""

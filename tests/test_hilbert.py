@@ -27,7 +27,7 @@ def split_system(ring, rng, max_deg=3):
         deg = rng.randrange(1, max_deg + 1)
         f = x ** deg
         for k in range(deg):
-            f = f + (x ** k).scale(ring.field.from_int(rng.randint(-4, 4)))
+            f = f + (x ** k).scale(rng.randint(-4, 4))
         polys.append(f)
     return polys
 
@@ -215,8 +215,8 @@ def test_rank_over_q_and_mod_p():
 
 
 def dense_rank(rows, F):
-    """Textbook Gaussian elimination on a dense copy, row by row, in the
-    field's own arithmetic (Fractions over Q)."""
+    """Textbook Gaussian elimination on a dense copy, row by row, with
+    plain int or Fraction arithmetic made canonical by F.element."""
     rows = [[F.element(v) for v in r] for r in rows]
     rank, ncols = 0, len(rows[0]) if rows else 0
     for col in range(ncols):
@@ -227,8 +227,8 @@ def dense_rank(rows, F):
         inv = F.inv(rows[rank][col])
         for r in range(len(rows)):
             if r != rank and rows[r][col]:
-                f = F.mul(rows[r][col], inv)
-                rows[r] = [F.sub(a, F.mul(f, b)) for a, b in zip(rows[r], rows[rank])]
+                f = rows[r][col] * inv
+                rows[r] = [F.element(a - f * b) for a, b in zip(rows[r], rows[rank])]
         rank += 1
     return rank
 
@@ -331,3 +331,6 @@ def test_certification_singular_selection():
         emit_certification_system(system, pts, 1, [(1, 0), (0, 0)])
     with pytest.raises(ValueError):
         emit_certification_system(system[:1], pts, 1, [(0, 1), (0, 0)])
+    for bad in ((-1, 1), (0, "1"), (0.5, 0)):
+        with pytest.raises(ValueError, match="exponent"):
+            emit_certification_system(system, pts, 1, [bad, (0, 0)])

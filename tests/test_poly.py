@@ -69,8 +69,7 @@ def test_mod_p_arithmetic():
     f = R.parse("3*x^2 + 5*y")
     g = R.parse("4*x^2 + 2*y + 6")
     assert f + g == R.parse("6")
-    assert (f * g).evaluate((2, 3)) == R.field.mul(f.evaluate((2, 3)),
-                                                   g.evaluate((2, 3)))
+    assert (f * g).evaluate((2, 3)) == f.evaluate((2, 3)) * g.evaluate((2, 3)) % 7
 
 
 def test_parse_print_round_trip():
@@ -103,6 +102,54 @@ def test_json_round_trip():
         ring2, polys2 = polys_from_json(polys_to_json(polys, R))
         assert ring2 == R
         assert polys2 == polys
+
+
+def load_json_term(descriptor, coeff, exps=(1,)):
+    """The one-term polynomial read from JSON; a tuple exps becomes a list."""
+    exps = list(exps) if isinstance(exps, tuple) else exps
+    obj = {"vars": ["x"], "field": descriptor, "polys": [[[coeff, exps]]]}
+    return polys_from_json(obj)[1][0]
+
+
+def test_json_reads_int_coefficients_in_both_fields():
+    for descriptor in ("Fp:7", "Q"):
+        assert load_json_term(descriptor, 3) == load_json_term(descriptor, "3")
+        assert load_json_term(descriptor, -2 ** 70) == \
+            load_json_term(descriptor, str(-2 ** 70))
+
+
+@pytest.mark.parametrize("descriptor", ("Fp:7", "Q"))
+@pytest.mark.parametrize("bad", (0.1, 2.0, True, False, None, [1], {}),
+                         ids=repr)
+def test_json_refuses_non_exact_coefficients(descriptor, bad):
+    with pytest.raises(ValueError, match="coefficient"):
+        load_json_term(descriptor, bad)
+
+
+def test_json_denominator_vanishing_mod_p_is_a_value_error():
+    assert load_json_term("Fp:7", "1/2") == load_json_term("Fp:7", 4)
+    with pytest.raises(ValueError, match="'1/7'"):
+        load_json_term("Fp:7", "1/7")
+    assert load_json_term("Q", "1/7").lc() == Fraction(1, 7)
+
+
+def test_json_refuses_non_list_exponent_vectors():
+    for bad in (1, "1", None, {"0": 1}):
+        with pytest.raises(ValueError, match="exponent"):
+            load_json_term("Fp:7", "1", bad)
+    with pytest.raises(ValueError, match="exponent"):
+        load_json_term("Q", "1", ["1"])
+
+
+def test_poly_rejects_bad_exponents():
+    R = PolyRing(("x", "y"), prime_field(7))
+    # a negative exponent would read x^-1 - 1 as a constant: basis <1>
+    for bad in ((-1, 0), (1.0, 0), (True, 0), (0, "1"), (0, None)):
+        with pytest.raises(ValueError, match="exponent"):
+            R.poly([(bad, 1), ((0, 0), -1)])
+        with pytest.raises(ValueError, match="exponent"):
+            R.poly({bad: 1})
+    assert R.poly([([2, 0], 1)]) == R.parse("x^2")
 
 
 def test_coerce_and_with_field():

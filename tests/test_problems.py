@@ -111,7 +111,7 @@ def test_coupler_coefficients():
     assert cs[13] == 2 and cs[14] == 3
     F = prime_field(101)
     csF = coupler_coefficients((2, 3), F)
-    assert csF == [F.from_int(int(c)) for c in cs]
+    assert csF == [int(c) % 101 for c in cs]
 
 
 def test_alt_coupler_instance():
@@ -125,12 +125,10 @@ def test_alt_coupler_instance():
     inst = alt_system()
     ringF = inst.ring.with_field(F)
     fsF = [ringF.coerce(f) for f in inst.polys]
-    x = tuple(F.from_int(v) for v in (3, 1, 4, 1, 5, 9, 2, 6))
+    x = (3, 1, 4, 1, 5, 9, 2, 6)
     for pt, g in zip(pts[:2], gs[:2]):
         cs = coupler_coefficients(pt, F)
-        expect = F.zero
-        for c, f in zip(cs, fsF):
-            expect = F.add(expect, F.mul(c, f.evaluate(x)))
+        expect = sum(c * f.evaluate(x) for c, f in zip(cs, fsF)) % 32003
         assert g.evaluate(x) == expect
     with pytest.raises(ValueError):
         alt_coupler_instance(pts[:5], F)
