@@ -16,6 +16,8 @@ from outside (an int or a decimal string, as the JSON layout has it)
 through element and raises ValueError on anything else.
 """
 
+import sys
+from array import array
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -180,6 +182,84 @@ def field_from_descriptor(s: str):
     if s.startswith("Fp:"):
         return prime_field(int(s[3:]))
     raise ValueError(f"unknown field descriptor {s!r}")
+
+
+_ITEM = {c: array(c).itemsize for c in "BHIQ"}
+_BIG_ENDIAN = sys.byteorder == "big"
+
+
+class PackedEchelon:
+    """Row echelon form over F_p of rows packed into single ints.
+
+    Column k of a row is the `width`-bit slot k of the int, and a row's
+    leading column is its highest nonzero slot, so a caller numbers its
+    columns so that the leading one ranks highest.  A pivot row is monic
+    and stored as its tail, slots reduced mod p.  One step against pivot
+    tail t for pending leading entry c adds (p - c) * t and drops the top
+    slot: one C-level multiply-add on the whole row.  Slots never go
+    negative, and a row gets at most ncols steps that add less than p^2
+    each, so a width of 2*bitlen(p) + bitlen(ncols) + 2 bits keeps every
+    slot below 2^width and no carry crosses into the next slot.  Slots
+    are reduced mod p only when read.  `pack` writes a residue as one
+    item of a typed array whose items hold p, so the width is rounded up
+    to whole items of that size (48 bits for p = 32771 and fewer than
+    2^14 columns, 96 bits for p = 1073741789).
+    """
+
+    __slots__ = ("p", "ncols", "code", "q", "nbytes", "width", "pivots")
+
+    def __init__(self, p: int, ncols: int):
+        self.p, self.ncols = p, ncols
+        # a residue is written as the lowest of the slot's q array items
+        self.code = next(c for c in "BHIQ" if p <= 1 << 8 * _ITEM[c])
+        u = _ITEM[self.code]
+        nbytes = (2 * p.bit_length() + ncols.bit_length() + 2 + 7) // 8
+        self.q = -(-nbytes // u)
+        self.nbytes = u * self.q
+        self.width = 8 * self.nbytes
+        self.pivots = {}   # leading column -> packed tail of the monic row
+
+    def pack(self, entries) -> int:
+        """The row of (column, int) entries, each column at most once."""
+        p, q = self.p, self.q
+        row = array(self.code, bytes(self.nbytes * self.ncols))
+        for k, c in entries:
+            row[k * q] = c % p
+        if _BIG_ENDIAN:
+            row.byteswap()
+        return int.from_bytes(row, "little")
+
+    def entries(self, row: int) -> list:
+        """(column, residue) of the nonzero slots of a row, ascending."""
+        p, b = self.p, self.nbytes
+        nslots = -(-row.bit_length() // self.width)
+        raw = row.to_bytes(b * nslots, "little")
+        out = []
+        for k in range(nslots):
+            c = int.from_bytes(raw[k * b:(k + 1) * b], "little") % p
+            if c:
+                out.append((k, c))
+        return out
+
+    def insert(self, row: int):
+        """Reduce a packed row against the pivots; register it monic and
+        return its leading column, or None when it vanishes."""
+        p, w, pivots = self.p, self.width, self.pivots
+        while row:
+            k = (row.bit_length() - 1) // w
+            s = k * w
+            v = row >> s
+            row -= v << s
+            c = v % p
+            if not c:
+                continue
+            tail = pivots.get(k)
+            if tail is None:
+                inv = pow(c, -1, p)
+                pivots[k] = self.pack((j, x * inv) for j, x in self.entries(row))
+                return k
+            row += (p - c) * tail
+        return None
 
 
 def primitive_scale(coeffs) -> Fraction:

@@ -91,7 +91,7 @@ def _cmd_gi(args) -> int:
     p_list = _int_list(args.prime)
     if args.trials is not None and (len(i_list) > 1 or len(p_list) > 1):
         raise ValueError("--trials takes a single --i and --prime")
-    if args.trials and args.trials > 1:
+    if args.trials is not None:
         return _emit_run(run_trials(problem, i_list[0], p_list[0], args.trials,
                                     args.seed, threads=args.threads,
                                     timeout_s=args.timeout_s), args)

@@ -1,4 +1,4 @@
-"""Groebner bases over exact fields via Buchberger's algorithm.
+"""Groebner bases over exact fields: F4 over F_p, Buchberger over Q.
 
 Pair handling uses Gebauer-Moeller pruning with the normal selection
 strategy (minimal lcm degree first).  Internally monomials are packed
@@ -6,10 +6,22 @@ into single integers whose natural comparison realizes the active order,
 so heap pops, divisibility tests and monomial products are plain int
 arithmetic; exponent tuples only appear at the API boundary.
 
+`buchberger` runs one main loop for both fields: it takes a batch of
+pairs off the queue, reduces their S-polynomials and hands every
+nonzero result to the pair update.  Over F_p the batch is every pair of
+the lowest lcm degree, reduced at once as in F4 (Faugere, JPAA 139,
+1999): symbolic preprocessing adds a shifted generator for every
+reducible monomial, and one echelon pass runs on `PackedEchelon` rows,
+which pack each coefficient into a fixed-width slot of one int so that
+a row update is one C-level multiply-add.  Over Q the batch is the one
+smallest pair, reduced fraction-free: F4 matrices over Q fill with
+coefficients of hundreds of thousands of bits in a remainder-sequence
+pattern, so the rational side keeps one pair at a time.
+
 The kernels take the field's modulus `mod` (p for F_p, None for Q) and
-do plain integer arithmetic.  Over F_p reduction is delayed: a pending
-coefficient is reduced mod p only when its monomial is reached, which
-is also when the reducer choice looks at it, so the bases are the same.
+do plain integer arithmetic.  Over F_p the normal form delays reduction:
+a pending coefficient is reduced mod p only when its monomial is
+reached, which is also when the reducer choice looks at it.
 
 Over the rationals the kernels are fraction-free.  Generators and
 reducers are integer-primitive (integer coefficients, content 1,
@@ -25,11 +37,12 @@ given ideal and order.
 
 Each exponent packs into a field of w bits whose top (guard) bit stays
 clear, so it holds up to 2^(w-1) - 1; a monomial formed during reduction
-that sets a guard bit raises OverflowError instead of wrapping.
-`normal_form`, `s_polynomial` and `verify_groebner` use 16-bit fields.
-`buchberger` packs into 8-bit fields first, which keeps a monomial of
-a small problem in one 30-bit int digit, and on OverflowError reruns
-with 16-bit fields, where an overflow raises.
+or symbolic preprocessing that sets a guard bit raises OverflowError
+instead of wrapping.  `normal_form`, `s_polynomial` and
+`verify_groebner` use 16-bit fields.  `buchberger` packs into 8-bit
+fields first, which keeps a monomial of a small problem in one 30-bit
+int digit, and on OverflowError reruns with 16-bit fields, where an
+overflow raises.
 
 `buchberger` sets linear generators aside: after full autoreduction the
 leading variable of a generator whose terms all have degree <= 1 occurs
@@ -38,9 +51,8 @@ loop runs on the other generators, packed in the remaining variables,
 and the final interreduction runs over both.  Its reducer search
 remembers, per monomial, the first live generator that divides it, or
 how many generators were tried without a divisor, and later searches
-for that monomial test only what may have changed since.  Both leave
-the S-pair sequence and every reducer choice as a scan of all live
-generators in index order would make them.
+for that monomial test only what may have changed since; the result is
+the one a scan of all live generators in index order would give.
 """
 
 import heapq
@@ -50,7 +62,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .arith import primitive_scale
+from .arith import PackedEchelon, primitive_scale
 from .poly import Polynomial, PolyRing, mono_divides, mono_lcm
 
 
@@ -286,17 +298,68 @@ def _spoly_packed(rf, rg, L: int, mod, guards):
     return out, mult
 
 
+def _f4_reduce(spolys, find, p: int, guards: int, stats) -> list:
+    """F4's linear algebra over F_p for one batch of S-polynomials.
+
+    Symbolic preprocessing adds a reducer row (shifted generator, from
+    find) for every monomial of the matrix that a live leading monomial
+    divides; each S-polynomial row is then reduced against those and the
+    S-rows before it in one echelon pass.  Returns the rows that do not
+    vanish, monic, as packed term dicts.
+    """
+    monos = set()
+    for s in spolys:
+        monos.update(s)
+    todo = list(monos)
+    reducers = []   # (leading monomial, record, shift)
+    while todo:
+        m = todo.pop()
+        rec = find(m)
+        if rec is None:
+            continue
+        shift = m - rec[0]
+        reducers.append((m, rec, shift))
+        for tm, _ in rec[2]:
+            mm = tm + shift
+            if mm not in monos:
+                if mm & guards:
+                    raise OverflowError("exponent exceeds packing width")
+                monos.add(mm)
+                todo.append(mm)
+    cols = sorted(monos)
+    index = {m: k for k, m in enumerate(cols)}
+    ech = PackedEchelon(p, len(cols))
+    for m, (_, _, tail), shift in reducers:
+        ech.pivots[index[m]] = ech.pack((index[tm + shift], c) for tm, c in tail)
+    stats.matrices += 1
+    stats.matrix_rows += len(reducers) + len(spolys)
+    stats.matrix_columns += len(cols)
+    out = []
+    for s in spolys:
+        k = ech.insert(ech.pack((index[m], c) for m, c in s.items()))
+        if k is not None:
+            h = {cols[j]: c for j, c in ech.entries(ech.pivots[k])}
+            h[cols[k]] = 1
+            out.append(h)
+    return out
+
+
 @dataclass
 class GroebnerStats:
     """What one `buchberger` call did, counted per pair, never per term.
 
     pairs_created counts every pair a new generator forms with the live
     ones; the new-pair criteria (coprime leading monomials, lcm dominated
-    or repeated) drop pairs_pruned_new of them, the chain criterion drops
-    pairs_pruned_chain later, and spairs_reduced are taken from the queue
-    and reduced, zero_reductions of them to zero.  linear_set_aside
-    generators ran outside the main loop, which worked in reduced_nvars
-    variables with exponent fields width bits wide.
+    or repeated) drop pairs_pruned_new of them and the chain criterion
+    drops pairs_pruned_chain later.  spairs_reduced counts the pairs
+    taken from the queue, and zero_reductions the reduced S-polynomials
+    that vanished: over Q one pair is taken and reduced at a time, over
+    F_p a whole batch is, as the S-polynomial rows of one matrix, and a
+    row vanishes when it lies in the span of the reducer rows and the
+    rows before it.  matrices, matrix_rows and matrix_columns total the
+    F_p batches (0 over Q).  linear_set_aside generators ran outside the
+    main loop, which worked in reduced_nvars variables with exponent
+    fields width bits wide.
     """
 
     pairs_created: int = 0
@@ -307,6 +370,9 @@ class GroebnerStats:
     linear_set_aside: int = 0
     reduced_nvars: int = 0
     width: int = 0
+    matrices: int = 0
+    matrix_rows: int = 0
+    matrix_columns: int = 0
 
 
 class GroebnerBasis:
@@ -513,19 +579,30 @@ def _buchberger(gens, ring: PolyRing, width: int) -> GroebnerBasis:
         add_generator(restricted)
 
     while pairs:
-        key = min(pairs, key=lambda ij: (pairs[ij][0], pairs[ij][1], ij))
-        i, j = key
-        _, L = pairs.pop(key)
-        s, _ = _spoly_packed(prepared[i], prepared[j], L, mod, guards)
-        h, _ = _nf_packed(s, find, mod, guards)
-        stats.spairs_reduced += 1
-        if not h:
-            stats.zero_reductions += 1
-            continue
-        if max(h) == one:
-            return GroebnerBasis(ring, (ring.one(),), stats)
-        _normalize(h, mod)
-        add_generator(h)
+        # F_p: every pair of the lowest lcm degree, reduced in one matrix;
+        # Q: the one smallest pair, reduced fraction-free
+        queue = [(dL, L, ij) for ij, (dL, L) in pairs.items()]
+        first = min(queue)
+        batch = sorted(q for q in queue if q[0] == first[0]) if mod else [first]
+        spolys = []
+        for _, L, (i, j) in batch:
+            del pairs[(i, j)]
+            spolys.append(_spoly_packed(prepared[i], prepared[j], L, mod,
+                                        guards)[0])
+        if mod:
+            new = _f4_reduce(spolys, find, mod, guards, stats)
+        else:
+            new = [_nf_packed(s, find, mod, guards)[0] for s in spolys]
+            new = [h for h in new if h]
+        stats.spairs_reduced += len(batch)
+        stats.zero_reductions += len(batch) - len(new)
+        # largest leading monomial first: a later one that divides it
+        # drops it from the live set
+        for h in sorted(new, key=max, reverse=True):
+            if max(h) == one:
+                return GroebnerBasis(ring, (ring.one(),), stats)
+            _normalize(h, mod)
+            add_generator(h)
 
     # lift the live generators back to all variables, then one
     # interreduction pass over them and the linear ones, and monic scaling

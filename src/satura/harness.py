@@ -188,8 +188,8 @@ def _summary(times) -> dict:
 
 def _resolve_timeout(timeout_s, i: int) -> Optional[float]:
     """timeout_s, or for "auto" 60 s when i >= 6 and none below: g5
-    (29-34 s on a 2-core box) and smaller i cells are long-running
-    extended targets, so they stay uncapped."""
+    (3-4 s on a 2-core box), g4 (about 3 minutes) and smaller i cells
+    are long-running extended targets, so they stay uncapped."""
     if timeout_s == "auto":
         return 60.0 if i >= 6 else None
     return timeout_s

@@ -17,7 +17,7 @@ from functools import lru_cache
 from math import comb, gcd
 from typing import Optional
 
-from .arith import primitive_scale
+from .arith import PackedEchelon, primitive_scale
 from .groebner import GroebnerBasis, standard_monomials
 from .poly import (PolyRing, evaluate_monomials, exact_degree_monomials,
                    mono_mul, monomials_up_to_degree, polys_to_json)
@@ -104,37 +104,26 @@ def _strip_content(row: dict) -> None:
             row[k] //= g
 
 
-def _echelon_insert(pivots: dict, row: dict, mod) -> Optional[int]:
-    """Reduce one sparse row {column: int} against the pivot rows;
-    register and return its pivot column, or None when it vanishes.
+def _echelon_insert(pivots: dict, row: dict) -> Optional[int]:
+    """Reduce one sparse integer row {column: int} against the pivot
+    rows over Q; register and return its pivot column, or None when it
+    vanishes.
 
-    One fraction-free body for both fields; mod is field.p, the prime
-    for F_p and None for Q.  A pending entry c against a pivot lead a
-    scales the row by a/g and subtracts (c/g) * pivot, g = gcd(a, c).
-    Over Q pivot rows are integers of content 1 with a positive lead,
-    and stripping the content after each step keeps entries small.  Over
-    F_p pivot rows are monic, so the step is a plain subtraction; the
-    row accumulates unreduced products and an entry is reduced mod p
-    only when it reaches the pivot test.  The rank is len(pivots).
+    Fraction-free: pivot rows are integers of content 1 with a positive
+    lead, a pending entry c against a pivot lead a scales the row by a/g
+    and subtracts (c/g) * pivot, g = gcd(a, c), and stripping the
+    content after each step keeps entries small.  The leading column is
+    the smallest, and the rank is len(pivots).
     """
     while row:
         col = min(row)
         c = row[col]
-        if mod is not None:
-            c = row[col] = c % mod
-            if not c:
-                del row[col]
-                continue
         piv = pivots.get(col)
         if piv is None:
-            if mod is None:
-                _strip_content(row)
-                if c < 0:
-                    for k in row:
-                        row[k] = -row[k]
-            else:
-                inv = pow(c, -1, mod)
-                row = {k: w for k, v in row.items() if (w := v * inv % mod)}
+            _strip_content(row)
+            if c < 0:
+                for k in row:
+                    row[k] = -row[k]
             pivots[col] = row
             return col
         a = piv[col]
@@ -150,23 +139,40 @@ def _echelon_insert(pivots: dict, row: dict, mod) -> Optional[int]:
                 row[k] = nv
             else:
                 row.pop(k, None)
-        if mod is None:
-            _strip_content(row)
+        _strip_content(row)
     return None
+
+
+def _pivot_columns(rows, ncols: int, mod) -> set:
+    """Pivot columns of an echelon form of sparse rows {column: entry},
+    column 0 leading: fraction-free over Q (mod None), where entries
+    are integers, and on `PackedEchelon` over F_p, where column j sits
+    in slot ncols - 1 - j so that the leading column is the highest."""
+    if mod is None:
+        pivots = {}
+        for row in rows:
+            _echelon_insert(pivots, row)
+        return set(pivots)
+    ech = PackedEchelon(mod, ncols)
+    top = ncols - 1
+    for row in rows:
+        ech.insert(ech.pack((top - j, c) for j, c in row.items()))
+    return {top - k for k in ech.pivots}
 
 
 def _rank(rows, field) -> int:
     """Exact rank of dense rows of field elements; over Q each row is
     made integer with content 1 before the elimination."""
     mod = field.p
-    pivots = {}
+    sparse, ncols = [], 0
     for row in rows:
+        ncols = max(ncols, len(row))
         row = {j: v for j, v in enumerate(row) if v}
         if mod is None and row:
             s = primitive_scale(row.values())
             row = {j: int(v * s) for j, v in row.items()}
-        _echelon_insert(pivots, row, mod)
-    return len(pivots)
+        sparse.append(row)
+    return len(_pivot_columns(sparse, ncols, mod))
 
 
 def jde_dimension(h, d: int, e: int):
@@ -208,10 +214,7 @@ def jde_dimension(h, d: int, e: int):
             for m in exact_degree_monomials(n, deg):
                 rows.append({index[mono_mul(fm, m)]: c for fm, c in terms})
     rows.sort(key=min, reverse=True)
-    pivots = {}
-    for row in rows:
-        _echelon_insert(pivots, row, mod)
-    dim = sum(1 for c in pivots if c >= low_start)
+    dim = sum(1 for c in _pivot_columns(rows, len(cols), mod) if c >= low_start)
     return dim, comb(n + d, d) - dim
 
 

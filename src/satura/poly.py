@@ -610,8 +610,13 @@ def polys_from_json(obj: dict, order=GREVLEX):
     ring = PolyRing(names, field, order)
     polys = []
     for entry in raw:
+        if not isinstance(entry, list):
+            raise ValueError(f"polynomial {entry!r} is not a list of terms")
         terms = []
-        for coeff, exps in entry:
+        for term in entry:
+            if not isinstance(term, list):
+                raise ValueError(f"term {term!r} is not a [coefficient, exponents] list")
+            coeff, exps = term
             if not isinstance(exps, list):
                 raise ValueError(f"exponent vector {exps!r} is not a list")
             terms.append((exps, field.from_str(coeff)))

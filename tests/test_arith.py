@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from satura.arith import (QQ, DenominatorVanishes, InvalidModulus, PrimeField,
-                          ZeroInversion, field_from_descriptor,
-                          is_probable_prime, prime_field)
+from satura.arith import (QQ, DenominatorVanishes, InvalidModulus,
+                          PackedEchelon, PrimeField, ZeroInversion,
+                          field_from_descriptor, is_probable_prime, prime_field)
 
 PRIMES = (2, 3, 5, 7, 251, 8191, 32003, 32771, (1 << 31) + 11)
 COMPOSITES = (0, 1, 4, 9, 561, 32769, 32003 * 32771, 1 << 40)
@@ -103,3 +103,61 @@ def test_rational_inverse_of_int_is_exact():
     assert QQ.inv(Fraction(-2, 5)) == Fraction(-5, 2)
     with pytest.raises(ZeroInversion):
         QQ.inv(0)
+
+
+def dict_echelon_insert(pivots, row, p):
+    """Reference for PackedEchelon.insert on {column: residue} rows: the
+    highest column leads, pivot rows are monic, every entry reduced."""
+    while row:
+        k = max(row)
+        c = row[k]
+        piv = pivots.get(k)
+        if piv is None:
+            inv = pow(c, -1, p)
+            pivots[k] = {j: v * inv % p for j, v in row.items()}
+            return k
+        for j, v in piv.items():
+            x = (row.get(j, 0) - c * v) % p
+            if x:
+                row[j] = x
+            else:
+                row.pop(j, None)
+    return None
+
+
+@pytest.mark.parametrize("p", (5, 32771, 1073741789, 2 ** 62 - 57))
+def test_packed_echelon_long_chains_match_dict_echelon(p):
+    # 2^62 - 57 is the largest prime PrimeField accepts: the widest slots.
+    # Pivots lead at every column from 3 up; dense rows with residues
+    # near p then take a pivot step at almost every column on the way
+    # down, the case the slot width is sized for.
+    assert prime_field(p).p == p
+    rng = random.Random(49)
+    n = 150
+    ech, ref = PackedEchelon(p, n), {}
+    assert ech.width >= 2 * p.bit_length() + n.bit_length() + 2
+
+    def big():
+        return p - 1 - rng.randrange(min(p - 1, 1 << 20))
+
+    def insert(row):
+        k = ech.insert(ech.pack(row.items()))
+        assert k == dict_echelon_insert(ref, dict(row), p)
+        return k
+
+    for k in range(n - 1, 2, -1):
+        assert insert({j: big() for j in range(k + 1)}) == k
+    leads = []
+    for _ in range(4):
+        leads.append(insert({j: big() for j in range(n)}))
+    assert leads == [2, 1, 0, None]
+    # a combination of stored rows reduces to zero through the whole chain
+    combo = {}
+    for k in (n - 1, n // 2, 2):
+        f = big()
+        combo[k] = (combo.get(k, 0) + f) % p
+        for j, c in ech.entries(ech.pivots[k]):
+            combo[j] = (combo.get(j, 0) + f * c) % p
+    assert insert({j: c for j, c in combo.items() if c}) is None
+    for k, piv in ref.items():
+        assert dict(ech.entries(ech.pivots[k])) | {k: 1} == piv

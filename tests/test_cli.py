@@ -112,6 +112,16 @@ def test_gi_trials_mode(capsys):
     assert payload["histogram"] == {"5": 6}
 
 
+def test_gi_trials_zero_and_one_are_trial_reports(capsys):
+    for n in (0, 1):
+        code, out, _ = run(capsys, "gi", "--problem", "monomial", "--i", "1",
+                           "--prime", "32003", "--trials", str(n), "--threads", "1")
+        payload = json.loads(out)
+        assert code == 0
+        assert payload["kind"] == "trials" and payload["trials"] == n
+        assert payload["histogram"] == ({"5": 1} if n else {})
+
+
 def test_trials_csv(capsys):
     code, out, _ = run(capsys, "trials", "--problem", "monomial", "--i", "0",
                        "--prime", "32003", "--trials", "4", "--threads", "1",
@@ -244,6 +254,14 @@ def test_gb_refuses_malformed_terms_exit_2(capsys, tmp_path, field, coeff, exps)
     path = write_system(tmp_path, field, coeff, exps)
     code, out, err = run(capsys, "gb", "--file", path)
     assert code == 2 and err.startswith("error:") and out == ""
+
+
+def test_gb_refuses_polynomials_and_terms_that_are_not_lists_exit_2(capsys, tmp_path):
+    path = tmp_path / "sys.json"
+    for polys in ([5], [[5]]):
+        path.write_text(json.dumps({"vars": ["x"], "field": "Q", "polys": polys}))
+        code, out, err = run(capsys, "gb", "--file", str(path))
+        assert code == 2 and err.startswith("error:") and out == ""
 
 
 def test_jde_and_emit_cert_refuse_malformed_input_exit_2(capsys, tmp_path):

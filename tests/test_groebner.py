@@ -11,9 +11,10 @@ from satura.groebner import (GroebnerBasis, NotZeroDimensional, _Codec,
 from satura.poly import GREVLEX, LEX, PolyRing, mono_div, mono_divides, mono_lcm
 
 # F_5, word-size primes at 15 and 30 bits, the Mersenne prime 2^61 - 1
-# (products near 2^122 in the delayed normal form) and Q
+# (products near 2^122 in the delayed normal form), 2^62 - 57, the
+# largest prime PrimeField accepts (the widest F4 row slots), and Q
 KERNEL_FIELDS = (prime_field(5), prime_field(32771), prime_field(1073741789),
-                 prime_field(2 ** 61 - 1), QQ)
+                 prime_field(2 ** 61 - 1), prime_field(2 ** 62 - 57), QQ)
 
 
 def random_system(ring, rng, count=3, max_deg=3):
@@ -329,14 +330,25 @@ def test_packed_exponent_overflow_raises():
             buchberger([R.parse("x - y^20000"), R.parse("x^2 - y")])
 
 
-def textbook_reduced_basis(gens):
+def textbook_reduced_basis(gens, coprime=False):
     """Reduced Groebner basis by plain Buchberger in Polynomial arithmetic:
-    every S-pair, no criteria, then minimalisation and tail reduction."""
+    every S-pair, no criteria, then minimalisation and tail reduction.
+    With coprime=True, pairs go by lowest lcm degree and pairs with
+    coprime leading monomials are skipped (Buchberger's first criterion),
+    which keeps three-variable inputs fast."""
     basis = [g for g in gens if not g.is_zero()]
     ring = basis[0].ring
     todo = [(i, j) for i in range(len(basis)) for j in range(i)]
+
+    def lcm_degree(ij):
+        return sum(mono_lcm(basis[ij[0]].lm(), basis[ij[1]].lm()))
+
     while todo:
+        if coprime:
+            todo.sort(key=lcm_degree, reverse=True)
         i, j = todo.pop()
+        if coprime and lcm_degree((i, j)) == basis[i].degree() + basis[j].degree():
+            continue
         h = textbook_normal_form(textbook_s_polynomial(basis[i], basis[j]),
                                  basis)
         if not h.is_zero():
@@ -407,6 +419,29 @@ def test_rational_bases_match_textbook_buchberger(order):
         assert set(gb) == set(textbook_reduced_basis(gens))
         set_aside.add(gb.stats.linear_set_aside)
     assert {1, 2} <= set_aside
+
+
+@pytest.mark.parametrize("p", (5, 32003, 2 ** 61 - 1, 2 ** 62 - 57))
+@pytest.mark.parametrize("order", (GREVLEX, LEX), ids=lambda o: o.name)
+def test_f4_bases_match_textbook_buchberger(p, order):
+    # over F_p buchberger reduces each degree's S-pairs in one packed
+    # matrix; the reduced basis is unique, so it must equal plain
+    # Buchberger's on random ideals with full-width residues
+    rng = random.Random(p % 1000 + (order is LEX))
+    F = prime_field(p)
+    # trivariate quadrics under grevlex, bivariate cubics under lex
+    names, max_deg = (("x", "y"), 3) if order is LEX else (("x", "y", "z"), 2)
+    R = PolyRing(names, F, order)
+    matrices = 0
+    for _ in range(12):
+        gens = [g for g in (random_field_poly(R, rng, max_deg=max_deg)
+                            for _ in range(3)) if not g.is_zero()]
+        if not gens:
+            continue
+        gb = buchberger(gens)
+        assert set(gb) == set(textbook_reduced_basis(gens, coprime=True))
+        matrices += gb.stats.matrices
+    assert matrices > 0
 
 
 def test_rational_reducers_not_monic_or_primitive():

@@ -117,7 +117,8 @@ def test_jde_independent_of_ring_order():
 
 
 @pytest.mark.parametrize("order", (GREVLEX, LEX), ids=("grevlex", "lex"))
-@pytest.mark.parametrize("p", (5, 32771, 2 ** 61 - 1, pytest.param(None, id="Q")))
+@pytest.mark.parametrize("p", (5, 32771, 2 ** 61 - 1, 2 ** 62 - 57,
+                               pytest.param(None, id="Q")))
 def test_jde_matches_dense_macaulay_rank(p, order):
     # the Macaulay matrix in generation order (generator, then shift),
     # eliminated densely: the degree <= d part of the span has dimension
@@ -233,7 +234,8 @@ def dense_rank(rows, F):
     return rank
 
 
-@pytest.mark.parametrize("p", (5, 32771, 2 ** 61 - 1, pytest.param(None, id="Q")))
+@pytest.mark.parametrize("p", (5, 32771, 2 ** 61 - 1, 2 ** 62 - 57,
+                               pytest.param(None, id="Q")))
 def test_rank_matches_dense_elimination(p):
     rng = random.Random(43)
     F = QQ if p is None else prime_field(p)

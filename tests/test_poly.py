@@ -141,6 +141,12 @@ def test_json_refuses_non_list_exponent_vectors():
         load_json_term("Q", "1", ["1"])
 
 
+def test_json_refuses_polynomials_and_terms_that_are_not_lists():
+    for polys in ([5], ["x"], [None], [[5]], [["1"]], [[{"1": [1]}]]):
+        with pytest.raises(ValueError, match="not a"):
+            polys_from_json({"vars": ["x"], "field": "Q", "polys": polys})
+
+
 def test_poly_rejects_bad_exponents():
     R = PolyRing(("x", "y"), prime_field(7))
     # a negative exponent would read x^-1 - 1 as a constant: basis <1>

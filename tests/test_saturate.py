@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from collections import Counter
 from fractions import Fraction
@@ -6,7 +8,7 @@ import pytest
 
 from satura.arith import QQ, prime_field
 from satura.groebner import NotZeroDimensional, buchberger, quotient_basis
-from satura.poly import GREVLEX, LEX, DimensionMismatch
+from satura.poly import GREVLEX, LEX, DimensionMismatch, polys_to_json
 from satura.problems import (ProblemInstance, _space_parameterization,
                              alt_system, conics_affine_system,
                              example_monomial_system)
@@ -276,21 +278,69 @@ def test_permutation_invariance_of_modal_count():
     assert modal(inst) == modal(flipped) == 5
 
 
+def basis_digest(gb) -> str:
+    return hashlib.sha256(json.dumps(polys_to_json(list(gb))).encode()).hexdigest()
+
+
+# sha256 of polys_to_json of the reduced alt g7 and g6 bases, per prime,
+# at seed 2024 and the benchmark's two split seeds
+ALT_BASIS_DIGESTS = {
+    32771: (
+        ("eb97a304fa831c0c3741e33f17e00ac1cd2b5dbe948341c7125ec71bc42b493b",
+         "d765b7e8053ab3611564e3b027695827bf62028fede48aed33d9fb86468a018b"),
+        ("d22e1e9b98f7f53b34fe50112b321f01ca9663d4867c41c9cc9bfb72276fe138",
+         "24742dc5910680dfd1ddcbcd20062ace8b6b9bbd8a44de70cf7274528a223a36"),
+        ("3df09a79d65e0295abff52c6c9cd917de3756062a6fb768d94f6130464c844c0",
+         "70232af94eaa5a6b6eb6c003d2d03c149242408b1632774b8db22f18e1f39c70"),
+    ),
+    1073741789: (
+        ("f95da0eeac8b2ed8b0f5802f929f74d72804eb9a7f88d585ed237ffbe54c5b90",
+         "93fd79964c67335433678a78e081c95d6a97b33252c1a9a864284119dcf58b8f"),
+        ("5e253919c271d26f18082f30368db1fc69b51dfc9a19b8fe88a9b5dbd2f05ebe",
+         "5dc592d37cb9c1afb911d034b8b1d2ba975ecd37cde70add7f106a50d9b990dc"),
+        ("2c52d9d4c731ea2baef47c02699c2bd2facac1a9fabdc76318545c9d2d202fc3",
+         "a8db38f9467d5c4ec121ed34e1bc48593894b453de291acad54ccde6da2acc70"),
+    ),
+}
+
+
 @pytest.mark.parametrize("p", (32771, 1073741789))
 def test_alt_cell_engine_counts(p):
-    # the S-pair sequence of the alt g7/g6 cells, pinned at seed 2024 and
-    # the benchmark's two split seeds: (i, S-pairs reduced, to zero,
+    # the F4 batches of the alt g7/g6 cells, pinned at seed 2024 and the
+    # benchmark's two split seeds: (i, S-pairs reduced, to zero, matrices,
     # linear generators set aside, variables left)
     alt, field = alt_system(), prime_field(p)
-    for seed in (2024, split_seed(2024, 1), split_seed(2024, 2)):
-        for i, spairs, zero, linear, nvars in ((7, 14, 4, 7, 2),
-                                               (6, 168, 54, 6, 3)):
+    for k, seed in enumerate((2024, split_seed(2024, 1), split_seed(2024, 2))):
+        for i, spairs, zero, matrices, linear, nvars in ((7, 14, 4, 11, 7, 2),
+                                                         (6, 162, 79, 24, 6, 3)):
             params = draw_parameters(i, alt.n, alt.r, field, seed)
             gb = buchberger(build_saturated_system(alt, params).generators)
+            assert basis_digest(gb) == ALT_BASIS_DIGESTS[p][k][7 - i]
             st = gb.stats
             assert (st.spairs_reduced, st.zero_reductions) == (spairs, zero)
+            assert st.matrices == matrices
+            assert st.matrix_rows > spairs and st.matrix_columns > 0
             assert (st.linear_set_aside, st.reduced_nvars) == (linear, nvars)
             assert st.width == 8
             # every pair created was pruned or reduced
             assert st.pairs_created == (st.pairs_pruned_new
                                         + st.pairs_pruned_chain + spairs)
+
+
+# the same digests of the conics g0..g5 bases over F_32003 at seed 2024
+CONICS_BASIS_DIGESTS = (
+    "4252f787fe8d2b261fd3e62e9955c0ef518856b4f3bf0e94cc1604a77017a17e",
+    "09ca1da56d9b9be18f5e87d0518c0bca9ce2dd4026e152093c3276b1adcf213c",
+    "9eb3f1010b1aba8bb64d8a9173ace79e67402921a5aa595c8693aa0dfed6cac5",
+    "3fa68c4ba3505818f41fa038708a892124b8ff90a6dd4e4d100cf4f9d02efd7f",
+    "53c031a65e8d6ced7903a5570db53bb5f74fd898cffa2c42578c857d77cfcca2",
+    "ce85e31ab7b661a0e5b5e65986a9382a1e863056e8c4916111ee67cae811aa2c",
+)
+
+
+def test_conics_bases_pinned():
+    conics = conics_affine_system()
+    for i, digest in enumerate(CONICS_BASIS_DIGESTS):
+        params = draw_parameters(i, conics.n, conics.r, F32003, 2024)
+        gb = buchberger(build_saturated_system(conics, params).generators)
+        assert basis_digest(gb) == digest
