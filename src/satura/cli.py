@@ -288,8 +288,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    # tables and trials resolve "auto" to the harness's per-i default cap
-    args.timeout_s = args.timeout_s or "auto"
+    # without --timeout-s, tables and trials resolve "auto" to the
+    # harness's per-i default cap; --timeout-s 0 runs uncapped
+    if args.timeout_s is None:
+        args.timeout_s = "auto"
     try:
         return args.fn(args)
     except (ValueError, OSError, KeyError) as exc:

@@ -48,15 +48,10 @@ overflow raises.
 leading variable of a generator whose terms all have degree <= 1 occurs
 in no other generator, so every pair it makes is coprime.  The main
 loop runs on the other generators, packed in the remaining variables,
-and the final interreduction runs over both.  Its reducer search
-remembers, per monomial, the first live generator that divides it, or
-how many generators were tried without a divisor, and later searches
-for that monomial test only what may have changed since; the result is
-the one a scan of all live generators in index order would give.
+and the final interreduction runs over both.
 """
 
 import heapq
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -510,19 +505,6 @@ def _buchberger(gens, ring: PolyRing, width: int) -> GroebnerBasis:
     lm_tuples = []
     live = []       # ascending indices forming the current minimal working basis
     pairs = {}      # (i, j) -> (lcm degree, packed lcm)
-    memo = {}       # monomial -> first index its reducer search must test
-
-    def find(m):
-        # indices below memo[m] hold no live divisor of m: live indices
-        # only disappear or are appended, so a "none" needs only the
-        # generators added since, and a hit that left live only later ones
-        km = sign * m
-        for i in live[bisect_left(live, memo.get(m, 0)):]:
-            if not ((keys[i] - km) & guards):
-                memo[m] = i
-                return prepared[i]
-        memo[m] = len(keys)
-        return None
 
     def add_generator(d: dict):
         t = len(polys)
@@ -584,6 +566,8 @@ def _buchberger(gens, ring: PolyRing, width: int) -> GroebnerBasis:
         queue = [(dL, L, ij) for ij, (dL, L) in pairs.items()]
         first = min(queue)
         batch = sorted(q for q in queue if q[0] == first[0]) if mod else [first]
+        # the first live generator, in index order, whose lead divides m
+        find = _scan([prepared[i] for i in live], codec)
         spolys = []
         for _, L, (i, j) in batch:
             del pairs[(i, j)]
@@ -616,23 +600,26 @@ def _buchberger(gens, ring: PolyRing, width: int) -> GroebnerBasis:
             lifted[full.pack(e)] = c
         basis.append(lifted)
     basis.sort(key=max)
-    records = [_prepare(d, mod) for d in basis]
-    final = []
-    for k, d in enumerate(basis):
-        h, _ = _nf_packed(d, _scan(records[:k] + records[k + 1:], full), mod,
-                          full.guards)
+    final = _autoreduce(basis, mod, full)
+    for h in final:
         _monic(h, mod)
-        final.append(h)
     final.sort(key=max)
     return GroebnerBasis(
         ring, tuple(_from_packed(h, full, ring) for h in final), stats)
 
 
 def _autoreduce(work, mod, codec: _Codec):
-    """Mutually reduce the inputs until stable; drops redundant generators."""
-    changed = True
-    while changed:
-        changed = False
+    """Mutually reduce the inputs, in list order, and drop those that
+    reduce to zero.
+
+    Rounds stop after one in which no leading monomial moved and no
+    generator was dropped: every generator was then fully reduced
+    against leads that stayed fixed all round, so none of its terms is
+    divisible by another's lead and a further round would change nothing.
+    """
+    moved = True
+    while moved:
+        moved = False
         # one reducer record per generator and round, renewed when it changes
         prepared = [None if d is None else _prepare(d, mod) for d in work]
         for i in range(len(work)):
@@ -645,7 +632,8 @@ def _autoreduce(work, mod, codec: _Codec):
             h, _ = _nf_packed(work[i], _scan(reducers, codec), mod,
                               codec.guards)
             if h != work[i]:
-                changed = True
+                if not h or max(h) != prepared[i][0]:
+                    moved = True
                 if h:
                     _normalize(h, mod)
                 work[i] = h if h else None

@@ -94,11 +94,7 @@ def monomial_columns(n: int, d: int) -> tuple:
 
 
 def _strip_content(row: dict) -> None:
-    g = 0
-    for v in row.values():
-        g = gcd(g, v)
-        if g == 1:
-            return
+    g = gcd(*row.values())
     if g > 1:
         for k in row:
             row[k] //= g
@@ -113,10 +109,10 @@ def _echelon_insert(pivots: dict, row: dict) -> Optional[int]:
     lead, a pending entry c against a pivot lead a scales the row by a/g
     and subtracts (c/g) * pivot, g = gcd(a, c), and stripping the
     content after each step keeps entries small.  The leading column is
-    the smallest, and the rank is len(pivots).
+    the highest, as in `PackedEchelon`, and the rank is len(pivots).
     """
     while row:
-        col = min(row)
+        col = max(row)
         c = row[col]
         piv = pivots.get(col)
         if piv is None:
@@ -145,19 +141,17 @@ def _echelon_insert(pivots: dict, row: dict) -> Optional[int]:
 
 def _pivot_columns(rows, ncols: int, mod) -> set:
     """Pivot columns of an echelon form of sparse rows {column: entry},
-    column 0 leading: fraction-free over Q (mod None), where entries
-    are integers, and on `PackedEchelon` over F_p, where column j sits
-    in slot ncols - 1 - j so that the leading column is the highest."""
+    the highest column leading: fraction-free over Q (mod None), where
+    entries are integers, and on `PackedEchelon` over F_p."""
     if mod is None:
         pivots = {}
         for row in rows:
             _echelon_insert(pivots, row)
         return set(pivots)
     ech = PackedEchelon(mod, ncols)
-    top = ncols - 1
     for row in rows:
-        ech.insert(ech.pack((top - j, c) for j, c in row.items()))
-    return {top - k for k in ech.pivots}
+        ech.insert(ech.pack(row.items()))
+    return set(ech.pivots)
 
 
 def _rank(rows, field) -> int:
@@ -179,13 +173,14 @@ def jde_dimension(h, d: int, e: int):
     """dim of the degree-<=d slice of the span of all m*h_i with
     deg(m*h_i) <= d+e, and the Hilbert upper bound C(n+d,d) - dim.
 
-    Columns are ordered high degree first, so pivots landing in the tail
-    block count exactly the vectors of the span that live in degree <= d.
+    Columns are numbered from low degree up and the highest column
+    leads, so pivots among the first C(n+d, d) columns count exactly the
+    vectors of the span that live in degree <= d.
 
     All Macaulay rows are built first and inserted in ascending order of
-    leading monomial (largest leading column first; the sort is stable,
-    so ties keep generation order), as in F4's linear algebra: this
-    keeps the reduction chains short.  The set of pivot columns of an
+    leading monomial (the sort is stable, so ties keep generation
+    order), as in F4's linear algebra: this keeps the reduction chains
+    short.  The set of pivot columns of an
     echelon form depends only on the row space, so the count does not
     depend on the order.
     """
@@ -198,8 +193,8 @@ def jde_dimension(h, d: int, e: int):
     n, mod = ring.nvars, ring.field.p
     D = d + e
     cols = monomials_up_to_degree(n, D)
-    index = {m: j for j, m in enumerate(cols)}
-    low_start = len(cols) - comb(n + d, d)
+    index = {m: j for j, m in enumerate(reversed(cols))}
+    low = comb(n + d, d)
 
     rows = []
     for f in h:
@@ -213,9 +208,9 @@ def jde_dimension(h, d: int, e: int):
         for deg in range(D - df + 1):
             for m in exact_degree_monomials(n, deg):
                 rows.append({index[mono_mul(fm, m)]: c for fm, c in terms})
-    rows.sort(key=min, reverse=True)
-    dim = sum(1 for c in _pivot_columns(rows, len(cols), mod) if c >= low_start)
-    return dim, comb(n + d, d) - dim
+    rows.sort(key=max)
+    dim = sum(1 for c in _pivot_columns(rows, len(cols), mod) if c < low)
+    return dim, low - dim
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from satura import cli
 from satura.cli import main
 
 pytestmark = pytest.mark.usefixtures("capsys")
@@ -174,6 +175,22 @@ def test_bad_threads_env_exits_2(capsys, monkeypatch):
                          "--prime", "32003", "--trials", "2")
     assert code == 2 and "error" in err and out == ""
     assert "SATURA_THREADS" in err and "'abc'" in err
+
+
+def test_timeout_zero_runs_uncapped(capsys, monkeypatch):
+    # only a missing --timeout-s means the per-i default cap; 0 is no cap
+    seen = []
+
+    def fake_run_trials(*args, timeout_s, **kwargs):
+        seen.append(timeout_s)
+        raise ValueError("stop")
+
+    monkeypatch.setattr(cli, "run_trials", fake_run_trials)
+    for extra in (("--timeout-s", "0"), ("--timeout-s", "5"), ()):
+        code, _, _ = run(capsys, "trials", "--problem", "alt", "--i", "6",
+                         "--prime", "32771", "--trials", "2", *extra)
+        assert code == 2
+    assert seen == [0.0, 5.0, "auto"]
 
 
 def test_bounds_degrees_shortcut(capsys):

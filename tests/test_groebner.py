@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from satura import groebner
 from satura.arith import QQ, prime_field
 from satura.groebner import (GroebnerBasis, NotZeroDimensional, _Codec,
                              buchberger, ideal_degree, is_zero_dimensional,
@@ -511,3 +512,39 @@ def test_shuffle_and_scaling_invariance_over_q():
                             for g in gens]
                 rng.shuffle(shuffled)
                 assert buchberger(shuffled) == gb
+
+
+@pytest.mark.parametrize("field", (prime_field(32003), QQ), ids=str)
+def test_autoreduce_stops_once_leads_hold(field, monkeypatch):
+    # rounds end after one in which no leading monomial moved and no
+    # generator was dropped: a round that changes only tails is the last
+    calls = []
+    nf = groebner._nf_packed
+
+    def counted(*args):
+        calls.append(1)
+        return nf(*args)
+
+    monkeypatch.setattr(groebner, "_nf_packed", counted)
+    R = PolyRing(("x", "y"), field)
+    codec = groebner._codec_for(R)
+    mod = field.p
+
+    def autoreduce(texts):
+        work = [groebner._to_packed(R.parse(t), codec) for t in texts]
+        for d in work:
+            groebner._normalize(d, mod)
+        calls.clear()
+        out = groebner._autoreduce(work, mod, codec)
+        return {groebner._from_packed(d, codec, R).monic() for d in out}
+
+    # only the tail of x^2 + y^2 changes: one round of two reductions
+    assert autoreduce(["x^2 + y^2", "y^2 - 1"]) == {R.parse("x^2 + 1"),
+                                                    R.parse("y^2 - 1")}
+    assert len(calls) == 2
+    # x*y - 1 reduces to a new lead y^2 + 1: a second round confirms
+    gens = [R.parse("x*y - 1"), R.parse("x*y + y^2")]
+    assert autoreduce(map(str, gens)) == {R.parse("x*y - 1"),
+                                          R.parse("y^2 + 1")}
+    assert len(calls) == 4
+    assert set(buchberger(gens)) == set(textbook_reduced_basis(gens))
