@@ -44,11 +44,18 @@ fields first, which keeps a monomial of a small problem in one 30-bit
 int digit, and on OverflowError reruns with 16-bit fields, where an
 overflow raises.
 
-`buchberger` sets linear generators aside: after full autoreduction the
-leading variable of a generator whose terms all have degree <= 1 occurs
-in no other generator, so every pair it makes is coprime.  The main
-loop runs on the other generators, packed in the remaining variables,
-and the final interreduction runs over both.
+`buchberger` eliminates the linear generators by substitution.  It
+interreduces the linear inputs (Gauss-Jordan), so that each one reads
+a x_v + tail with a leading variable x_v that occurs in no other, and
+substitutes x_v = -tail/a into every other input, by Horner in one
+variable at a time; this is the normal form by the linear generators,
+which form a reduced basis.  After one autoreduction of the linear and
+the substituted generators, the leading variable of a linear one
+occurs in no other generator, so every pair it makes is coprime: it is
+set aside, and the main loop runs on the other generators, packed in
+the remaining variables.  Their final interreduction runs there too;
+after lifting, only the tails of the set-aside generators are reduced
+by them, since no term of theirs contains an eliminated variable.
 """
 
 import heapq
@@ -293,6 +300,70 @@ def _spoly_packed(rf, rg, L: int, mod, guards):
     return out, mult
 
 
+def _split_linear(work, codec: _Codec):
+    """(linear, rest): the dicts whose terms all have degree <= 1, and the
+    others, each in list order."""
+    linear, rest = [], []
+    for d in work:
+        (linear if all(sum(codec.unpack(p)) <= 1 for p in d)
+         else rest).append(d)
+    return linear, rest
+
+
+def _substitute(d: dict, linear, mod, codec: _Codec) -> dict:
+    """Normal form of d by interreduced linear generators a x_v + tail,
+    got by putting x_v = -tail/a into d; normalized, and empty when it
+    vanishes.
+
+    Per variable, with d = sum_j x_v^j f_j and J the largest j, Horner
+    runs acc <- acc * (-tail) + a^(J-j) f_j from acc = f_J, which is
+    a^J times the substituted d: fraction-free over Q, and a = 1 over
+    F_p, where the generators are monic.  Raises OverflowError when a
+    product leaves the packed exponent range.
+    """
+    one, mask, flip, guards = codec.one, codec.mask, codec.flip, codec.guards
+    for lin in linear:
+        lead = max(lin)
+        a = lin[lead]
+        shift = codec.shifts[codec.unpack(lead).index(1)]
+        step = lead - one  # adding it multiplies a packed monomial by x_v
+        times = [(p - one, -c) for p, c in lin.items() if p != lead]
+        parts = {}  # exponent of x_v -> the terms with x_v divided out
+        for p, c in d.items():
+            e = ((p >> shift) & mask) ^ flip
+            part = parts.get(e)
+            if part is None:
+                parts[e] = part = {}
+            part[p - e * step] = c
+        top = max(parts, default=0)
+        if not top:
+            continue
+        acc = parts[top]
+        for j in range(top - 1, -1, -1):
+            scale = a ** (top - j)
+            nxt = {m: c * scale for m, c in parts.get(j, {}).items()}
+            for m, c in acc.items():
+                for dm, dc in times:
+                    mm = m + dm
+                    old = nxt.get(mm)
+                    if old is None:
+                        if mm & guards:
+                            raise OverflowError("exponent exceeds packing width")
+                        nxt[mm] = c * dc
+                    else:
+                        nxt[mm] = old + c * dc
+            acc = nxt
+        d = {}
+        for m, c in acc.items():
+            if mod:
+                c %= mod
+            if c:
+                d[m] = c
+    if d:
+        _normalize(d, mod)
+    return d
+
+
 def _f4_reduce(spolys, find, p: int, guards: int, stats) -> list:
     """F4's linear algebra over F_p for one batch of S-polynomials.
 
@@ -483,34 +554,50 @@ def _buchberger(gens, ring: PolyRing, width: int) -> GroebnerBasis:
     for d in work:
         _normalize(d, mod)
 
-    work = _autoreduce(work, mod, full)
+    # Gauss-Jordan on the linear inputs, then the others' normal forms by
+    # them, by substitution, in input order
+    linear, rest = _split_linear(work, full)
+    linear = _autoreduce(linear, mod, full)
+    if any(max(d) == full.one for d in linear):
+        return GroebnerBasis(ring, (ring.one(),), stats)
+    rest = [_substitute(d, linear, mod, full) for d in rest]
+    work = _autoreduce(linear + [d for d in rest if d], mod, full)
     if any(max(d) == full.one for d in work):
         return GroebnerBasis(ring, (ring.one(),), stats)
 
     # Full autoreduction leaves the leading variable of a linear generator
     # in no other generator, so all its pairs are coprime: the main loop
     # runs on the rest, packed in the variables they can contain.
-    linear, rest = [], []
-    for d in work:
-        (linear if all(sum(full.unpack(p)) <= 1 for p in d) else rest).append(d)
+    linear, rest = _split_linear(work, full)
     gone = {full.unpack(max(d)).index(1) for d in linear}
     keep = [j for j in range(n) if j not in gone]
     codec = _codec(len(keep), order, width)
     stats.linear_set_aside, stats.reduced_nvars = len(linear), len(keep)
     guards, sign, one = codec.guards, codec.sign, codec.one
 
-    polys = []      # packed dicts, addressable by index forever
-    prepared = []   # matching reducer records
+    # A generator's dict is kept while it is live, its reducer record
+    # while it is live or a queued pair names it.
+    polys = {}      # index -> packed dict
+    prepared = {}   # index -> reducer record
+    npairs = []     # index -> number of queued pairs naming it
     keys = []       # sign * leading monomial, for the divisibility test
     lm_tuples = []
     live = []       # ascending indices forming the current minimal working basis
     pairs = {}      # (i, j) -> (lcm degree, packed lcm)
 
+    def unqueue(ij):
+        del pairs[ij]
+        for k in ij:
+            npairs[k] -= 1
+            if not npairs[k] and k not in polys:
+                del prepared[k]
+
     def add_generator(d: dict):
-        t = len(polys)
-        polys.append(d)
+        t = len(keys)
+        polys[t] = d
         rec = _prepare(d, mod)
-        prepared.append(rec)
+        prepared[t] = rec
+        npairs.append(0)
         lt_packed = rec[0]
         keys.append(sign * lt_packed)
         lt_tuple = codec.unpack(lt_packed)
@@ -537,6 +624,8 @@ def _buchberger(gens, ring: PolyRing, width: int) -> GroebnerBasis:
                 stats.pairs_pruned_new += 1
                 continue
             pairs[(i, t)] = (dL, L)
+            npairs[i] += 1
+            npairs[t] += 1
         # old-pair pruning: the chain criterion against the new leading term
         for key in list(pairs):
             i, j = key
@@ -547,10 +636,18 @@ def _buchberger(gens, ring: PolyRing, width: int) -> GroebnerBasis:
                 lcm_it = codec.pack(mono_lcm(lm_tuples[i], lt_tuple))
                 lcm_jt = codec.pack(mono_lcm(lm_tuples[j], lt_tuple))
                 if lcm_it != Lij and lcm_jt != Lij:
-                    del pairs[key]
+                    unqueue(key)
                     stats.pairs_pruned_chain += 1
         kt = keys[t]
-        live[:] = [i for i in live if (kt - keys[i]) & guards]
+        stay = []
+        for i in live:
+            if (kt - keys[i]) & guards:
+                stay.append(i)
+            else:  # the new leading monomial divides i's: i leaves
+                del polys[i]
+                if not npairs[i]:
+                    del prepared[i]
+        live[:] = stay
         live.append(t)
 
     for d in rest:
@@ -569,10 +666,10 @@ def _buchberger(gens, ring: PolyRing, width: int) -> GroebnerBasis:
         # the first live generator, in index order, whose lead divides m
         find = _scan([prepared[i] for i in live], codec)
         spolys = []
-        for _, L, (i, j) in batch:
-            del pairs[(i, j)]
-            spolys.append(_spoly_packed(prepared[i], prepared[j], L, mod,
-                                        guards)[0])
+        for _, L, ij in batch:
+            spolys.append(_spoly_packed(prepared[ij[0]], prepared[ij[1]], L,
+                                        mod, guards)[0])
+            unqueue(ij)
         if mod:
             new = _f4_reduce(spolys, find, mod, guards, stats)
         else:
@@ -588,19 +685,21 @@ def _buchberger(gens, ring: PolyRing, width: int) -> GroebnerBasis:
             _normalize(h, mod)
             add_generator(h)
 
-    # lift the live generators back to all variables, then one
-    # interreduction pass over them and the linear ones, and monic scaling
-    basis = linear[:]
-    for k in live:
+    # interreduce the live generators in the remaining variables and lift
+    # them back to all; their terms hold no leading variable of a linear
+    # generator, so only the linear generators' tails need reducing
+    final = []
+    for d in _autoreduce(sorted((polys[k] for k in live), key=max), mod,
+                         codec):
         lifted = {}
-        for p, c in polys[k].items():
+        for p, c in d.items():
             e = [0] * n
             for j, x in zip(keep, codec.unpack(p)):
                 e[j] = x
             lifted[full.pack(e)] = c
-        basis.append(lifted)
-    basis.sort(key=max)
-    final = _autoreduce(basis, mod, full)
+        final.append(lifted)
+    find = _scan([_prepare(h, mod) for h in final], full)
+    final += [_nf_packed(d, find, mod, full.guards)[0] for d in linear]
     for h in final:
         _monic(h, mod)
     final.sort(key=max)
@@ -663,25 +762,34 @@ def standard_monomials(basis: GroebnerBasis, d_max) -> list:
 
     Standard monomials form a downward-closed set, so the depth-first
     search prunes a whole subtree as soon as one leading monomial divides
-    the current partial exponent vector.
+    the current partial exponent vector.  A variable that is itself a
+    leading monomial has exponent 0 in every standard monomial: the
+    search leaves it out, with every leading monomial that contains it.
     """
     lms = basis.leading_monomials
     n = basis.ring.nvars
+    fixed = {m.index(1) for m in lms if sum(m) == 1}
+    free = [j for j in range(n) if j not in fixed]
+    lms = [[m[j] for j in free] for m in lms
+           if not any(m[j] for j in fixed)]
     found = []
-    exps = [0] * n
+    exps = [0] * len(free)
+    full = [0] * n
 
-    def visit(var, total):
-        if var == n:
-            found.append(tuple(exps))
+    def visit(k, total):
+        if k == len(free):
+            for j, e in zip(free, exps):
+                full[j] = e
+            found.append(tuple(full))
             return
         e = 0
         while d_max is None or total + e <= d_max:
-            exps[var] = e
+            exps[k] = e
             if any(mono_divides(lm, exps) for lm in lms):
                 break
-            visit(var + 1, total + e)
+            visit(k + 1, total + e)
             e += 1
-        exps[var] = 0
+        exps[k] = 0
 
     # mono_divides compares pairwise; lists work as well as tuples
     visit(0, 0)

@@ -548,3 +548,71 @@ def test_autoreduce_stops_once_leads_hold(field, monkeypatch):
                                           R.parse("y^2 + 1")}
     assert len(calls) == 4
     assert set(buchberger(gens)) == set(textbook_reduced_basis(gens))
+
+
+# hand cases with linear inputs, in (x, y, z): the reduced basis and the
+# number of generators set aside, the same under grevlex and lex
+LINEAR_HAND_CASES = (
+    # dependent linear inputs: the second reduces to zero
+    (("x + y - z", "2*x + 2*y - 2*z", "y^2 - z"),
+     ("x + y - z", "y^2 - z"), 1),
+    # inconsistent linear inputs: the unit ideal
+    (("x + y", "x + y + 1", "z^2 - x"), ("1",), 0),
+    # x^2 - y^2 + z turns linear once x = y is put in
+    (("x - y", "x^2 - y^2 + z"), ("x - y", "z"), 2),
+    # x^2 - y^2 vanishes once x = y is put in
+    (("x - y", "x^2 - y^2"), ("x - y",), 1),
+)
+
+
+@pytest.mark.parametrize("field", (prime_field(5), prime_field(32003),
+                                   prime_field(2 ** 61 - 1), QQ),
+                         ids=lambda f: f.descriptor)
+@pytest.mark.parametrize("order", (GREVLEX, LEX), ids=lambda o: o.name)
+def test_linear_inputs_substituted(field, order):
+    R = PolyRing(("x", "y", "z"), field, order)
+    for case, expected, set_aside in LINEAR_HAND_CASES:
+        gens = [R.parse(t) for t in case]
+        gb = buchberger(gens)
+        assert set(gb) == {R.parse(t) for t in expected}
+        assert set(gb) == set(textbook_reduced_basis(gens))
+        assert gb.stats.linear_set_aside == set_aside
+
+
+@pytest.mark.parametrize("p", (5, 32003, 2 ** 61 - 1))
+@pytest.mark.parametrize("order", (GREVLEX, LEX), ids=lambda o: o.name)
+def test_f4_bases_with_linear_inputs_match_textbook_buchberger(p, order):
+    # one to three random linear forms beside nonlinear generators: the
+    # linear ones are substituted before the main loop, which must not
+    # change the reduced basis
+    rng = random.Random(p % 1000 + 2 * (order is LEX))
+    F = prime_field(p)
+    R = PolyRing(("x", "y", "z"), F, order)
+    set_aside = set()
+    for t in range(12):
+        gens = [random_linear_form(R, rng) for _ in range(1 + t % 3)]
+        # two nonlinear generators beside one linear form, one beside more
+        gens += [random_field_poly(R, rng, max_deg=2)
+                 for _ in range(1 + (t % 3 == 0))]
+        gens = [g for g in gens if not g.is_zero()]
+        gb = buchberger(gens)
+        assert set(gb) == set(textbook_reduced_basis(gens, coprime=True))
+        st = gb.stats
+        if not gb.is_unit:
+            assert st.linear_set_aside + st.reduced_nvars == R.nvars
+        set_aside.add(st.linear_set_aside)
+    assert {1, 2} <= set_aside
+
+
+@pytest.mark.parametrize("order", (GREVLEX, LEX), ids=lambda o: o.name)
+def test_substitution_overflow_reruns_or_raises(order):
+    # x = y turns x^100*y^100 into y^200: past the 8-bit fields, so
+    # buchberger reruns with 16 bits; y^40000 is past those too
+    for field in (prime_field(32003), QQ):
+        R = PolyRing(("x", "y"), field, order)
+        gens = [R.parse("x - y"), R.parse("x^100*y^100 + 1")]
+        gb = buchberger(gens)
+        assert gb.stats.width == 16
+        assert set(gb) == {R.parse("x - y"), R.parse("y^200 + 1")}
+        with pytest.raises(OverflowError):
+            buchberger([R.parse("x - y"), R.parse("x^20000*y^20000 + 1")])

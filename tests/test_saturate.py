@@ -6,9 +6,12 @@ from fractions import Fraction
 
 import pytest
 
+from satura import groebner
 from satura.arith import QQ, prime_field
-from satura.groebner import NotZeroDimensional, buchberger, quotient_basis
-from satura.poly import GREVLEX, LEX, DimensionMismatch, polys_to_json
+from satura.groebner import (GroebnerBasis, NotZeroDimensional, buchberger,
+                             is_zero_dimensional, quotient_basis,
+                             standard_monomials)
+from satura.poly import GREVLEX, LEX, DimensionMismatch, PolyRing, polys_to_json
 from satura.problems import (ProblemInstance, _space_parameterization,
                              alt_system, conics_affine_system,
                              example_monomial_system)
@@ -344,3 +347,73 @@ def test_conics_bases_pinned():
         params = draw_parameters(i, conics.n, conics.r, F32003, 2024)
         gb = buchberger(build_saturated_system(conics, params).generators)
         assert basis_digest(gb) == digest
+
+
+def test_linear_slice_is_substituted_not_reduced(monkeypatch):
+    # the linear slice is eliminated by substitution and the final
+    # interreduction runs in the remaining variables, so no normal form
+    # sees the nonlinear alt g6 generators (239 and 240 terms in nine
+    # variables) before the slice is gone
+    sizes = []
+    nf = groebner._nf_packed
+
+    def counted(f, *args):
+        sizes.append(len(f))
+        return nf(f, *args)
+
+    monkeypatch.setattr(groebner, "_nf_packed", counted)
+    alt = alt_system()
+    params = draw_parameters(6, alt.n, alt.r, prime_field(32771), 2024)
+    gb = buchberger(build_saturated_system(alt, params).generators)
+    assert basis_digest(gb) == ALT_BASIS_DIGESTS[32771][0][1]
+    assert sizes and max(sizes) <= 100
+
+
+def reference_standard_monomials(basis, d_max):
+    """Depth-first search over every variable, for comparison."""
+    lms = basis.leading_monomials
+    n = basis.ring.nvars
+    found, exps = [], [0] * n
+
+    def visit(var, total):
+        if var == n:
+            found.append(tuple(exps))
+            return
+        e = 0
+        while d_max is None or total + e <= d_max:
+            exps[var] = e
+            if any(all(a <= b for a, b in zip(lm, exps)) for lm in lms):
+                break
+            visit(var + 1, total + e)
+            e += 1
+        exps[var] = 0
+
+    visit(0, 0)
+    return found
+
+
+def test_standard_monomials_skip_linear_leads():
+    alt, conics = alt_system(), conics_affine_system()
+    bases = []
+    for i in (7, 6):
+        params = draw_parameters(i, alt.n, alt.r, prime_field(32771), 2024)
+        bases.append(buchberger(build_saturated_system(alt, params).generators))
+    for i in range(len(CONICS_BASIS_DIGESTS)):
+        params = draw_parameters(i, conics.n, conics.r, F32003, 2024)
+        bases.append(buchberger(build_saturated_system(conics, params).generators))
+    # a pure linear lead, and one that divides another lead
+    R = PolyRing(("x", "y", "z"), F32003)
+    bases.append(buchberger([R.parse("x - y"), R.parse("y^3 - z"),
+                             R.parse("z^2 - 1")]))
+    bases.append(GroebnerBasis(R, tuple(R.parse(t) for t in
+                                        ("x + 1", "x*y^2", "y^3", "z^2"))))
+    linear_leads = 0
+    for gb in bases:
+        linear_leads += any(sum(m) == 1 for m in gb.leading_monomials)
+        for d_max in (0, 3):
+            assert (standard_monomials(gb, d_max)
+                    == reference_standard_monomials(gb, d_max))
+        if is_zero_dimensional(gb):
+            assert (standard_monomials(gb, None)
+                    == reference_standard_monomials(gb, None))
+    assert linear_leads >= 8
