@@ -56,16 +56,30 @@ def _int_list(text: str):
     return out
 
 
-def _non_negative(kind):
-    """An argparse type: kind(text), refused unless finite and >= 0."""
+def _at_least(kind, low):
+    """An argparse type: kind(text), refused unless finite and >= low."""
     def convert(text: str):
         x = kind(text)
-        if not 0 <= x < math.inf:
+        if not low <= x < math.inf:
             raise argparse.ArgumentTypeError(
-                f"expected a non-negative {kind.__name__}, got {text!r}")
+                f"expected {kind.__name__} >= {low}, got {text!r}")
         return x
     convert.__name__ = kind.__name__  # argparse says "invalid int value: ..."
     return convert
+
+
+# flags several subcommands share; each subcommand takes only those it reads
+_SHARED = {
+    "--seed": dict(type=int, default=2024, help="64-bit master seed"),
+    "--threads": dict(type=_at_least(int, 1), default=None,
+                      help="worker processes (default: SATURA_THREADS, else "
+                           "the CPUs this process may run on)"),
+    "--timeout-s": dict(type=_at_least(float, 0), default=None,
+                        help="per-trial/cell wall clock cap in seconds"),
+    "--out": dict(default=None, help="write output to this path"),
+    "--format": dict(choices=("json", "csv"), default="json"),
+    "--order": dict(choices=("grevlex", "lex"), default="grevlex"),
+}
 
 
 def _emit_run(run, args) -> int:
@@ -89,16 +103,13 @@ def _cmd_gi(args) -> int:
     problem = _resolve_problem(args.problem, args.order)
     i_list = _int_list(args.i)
     p_list = _int_list(args.prime)
-    if args.trials is not None and (len(i_list) > 1 or len(p_list) > 1):
-        raise ValueError("--trials takes a single --i and --prime")
-    if args.trials is not None:
-        return _emit_run(run_trials(problem, i_list[0], p_list[0], args.trials,
-                                    args.seed, threads=args.threads,
-                                    timeout_s=args.timeout_s), args)
     if len(i_list) > 1 or len(p_list) > 1:
         return _emit_run(gi_table(problem, i_list, p_list, args.seed,
                                   timeout_s=args.timeout_s,
                                   checkpoint=args.checkpoint), args)
+    if args.checkpoint is not None or args.format == "csv":
+        flag = "--format csv" if args.format == "csv" else "--checkpoint"
+        raise ValueError(f"{flag} needs a table: give --i or --prime a comma list")
     i, p = i_list[0], p_list[0]
     payload = {"value": None, "i": i, "prime": p, "seed": args.seed,
                "elapsed_ms": None, "degenerate": False, "unit": False,
@@ -108,8 +119,7 @@ def _cmd_gi(args) -> int:
     out = run_capped(lambda: compute_gi(problem, i, prime_field(p), args.seed),
                      cap)
     if out.kind == "error":
-        print(f"error: {out.message}", file=sys.stderr)
-        return 2
+        raise ValueError(out.message)
     if out.kind == "ok":
         payload.update(value=out.result.value, unit=out.result.unit,
                        elapsed_ms=round(out.result.elapsed * 1000, 3))
@@ -180,6 +190,8 @@ def _cmd_problems(args) -> int:
         return 0
     if not args.name:
         raise ValueError("export needs --name")
+    if args.format == "csv":
+        raise ValueError("--format csv applies to list; export writes a JSON system")
     inst = _resolve_problem(args.name)
     _emit(json.dumps(polys_to_json(list(inst.polys), inst.ring), indent=2),
           args.out)
@@ -200,63 +212,55 @@ def _cmd_emit_cert(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=2024, help="64-bit master seed")
-    common.add_argument("--threads", type=int, default=None,
-                        help="worker processes (default: SATURA_THREADS, else the "
-                             "CPUs this process may run on)")
-    common.add_argument("--timeout-s", type=_non_negative(float), default=None,
-                        dest="timeout_s",
-                        help="per-trial/cell wall clock cap in seconds")
-    common.add_argument("--out", default=None, help="write output to this path")
-    common.add_argument("--format", choices=("json", "csv"), default="json")
-    common.add_argument("--order", choices=("grevlex", "lex"), default="grevlex")
-
     ap = argparse.ArgumentParser(
         prog="satura",
         description="Exact counting of polynomial-system solutions outside "
                     "a base locus, with luckiness bounds and Hilbert tooling.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    g = sub.add_parser("gb", parents=[common], help="reduced Groebner basis of a JSON system")
-    g.add_argument("--file", required=True)
-    g.set_defaults(fn=_cmd_gb)
+    def command(name, fn, help, shared):
+        g = sub.add_parser(name, help=help)
+        for flag in shared.split():
+            g.add_argument(flag, **_SHARED[flag])
+        g.set_defaults(fn=fn)
+        return g
 
-    g = sub.add_parser("gi", parents=[common], help="randomized g_i count(s)")
+    g = command("gb", _cmd_gb, "reduced Groebner basis of a JSON system", "--order --out")
+    g.add_argument("--file", required=True)
+
+    g = command("gi", _cmd_gi, "randomized g_i count(s)",
+                "--seed --timeout-s --order --out --format")
     g.add_argument("--problem", required=True,
                    help="monomial-example | conics-affine | alt | conics-pstar | file:<path>")
     g.add_argument("--i", required=True, help="index or comma list")
     g.add_argument("--prime", required=True, help="prime or comma list")
-    g.add_argument("--trials", type=_non_negative(int), default=None)
     g.add_argument("--checkpoint", default=None, help="resumable cell store (JSON path)")
-    g.set_defaults(fn=_cmd_gi)
 
-    g = sub.add_parser("hilbert", parents=[common], help="affine Hilbert function rows")
+    g = command("hilbert", _cmd_hilbert, "affine Hilbert function rows",
+                "--seed --timeout-s --order --out --format")
     g.add_argument("--problem", required=True)
     g.add_argument("--i", required=True, help="index or comma list")
     g.add_argument("--prime", type=int, required=True)
-    g.add_argument("--dmax", type=int, default=8)
-    g.set_defaults(fn=_cmd_hilbert)
+    g.add_argument("--dmax", type=_at_least(int, 0), default=8)
 
-    g = sub.add_parser("jde", parents=[common],
-                       help="dimension of the degree-(d+e) reduction space J_d^e")
+    g = command("jde", _cmd_jde, "dimension of the degree-(d+e) reduction space J_d^e",
+                "--order --out")
     src = g.add_mutually_exclusive_group(required=True)
     src.add_argument("--file")
     src.add_argument("--problem")
     g.add_argument("--d", type=int, required=True)
     g.add_argument("--e", type=int, required=True)
-    g.set_defaults(fn=_cmd_jde)
 
-    g = sub.add_parser("trials", parents=[common], help="batched trials with histogram")
+    g = command("trials", _cmd_trials, "batched trials with histogram",
+                "--seed --threads --timeout-s --order --out --format")
     g.add_argument("--problem", required=True)
     g.add_argument("--i", type=int, required=True)
     g.add_argument("--prime", type=int, required=True)
-    g.add_argument("--trials", type=_non_negative(int), required=True)
+    g.add_argument("--trials", type=_at_least(int, 0), required=True)
     g.add_argument("--reference", type=int, default=None,
                    help="success value (default: built-in table, else modal)")
-    g.set_defaults(fn=_cmd_trials)
 
-    g = sub.add_parser("bounds", parents=[common], help="probability and degree bounds")
+    g = command("bounds", _cmd_bounds, "probability and degree bounds", "--out")
     g.add_argument("--n", type=int, default=None)
     g.add_argument("--r", type=int, default=None)
     g.add_argument("--dmin", type=int, default=None)
@@ -268,29 +272,25 @@ def build_parser() -> argparse.ArgumentParser:
                    help="evaluate at p = 2^k + 1")
     g.add_argument("--nu", type=int, default=None)
     g.add_argument("--target", default=None, help="success target, e.g. 0.99")
-    g.set_defaults(fn=_cmd_bounds)
 
-    g = sub.add_parser("problems", parents=[common], help="list or export built-in systems")
+    g = command("problems", _cmd_problems, "list or export built-in systems", "--out --format")
     g.add_argument("action", choices=("list", "export"))
     g.add_argument("--name", default=None)
-    g.set_defaults(fn=_cmd_problems)
 
-    g = sub.add_parser("emit-cert", parents=[common],
-                       help="write the well-constrained certification system")
+    g = command("emit-cert", _cmd_emit_cert,
+                "write the well-constrained certification system", "--order --out")
     g.add_argument("--file", required=True, help="specialized square system (JSON)")
     g.add_argument("--points", required=True, help="JSON list of points")
     g.add_argument("--d", type=int, required=True)
     g.add_argument("--columns", required=True, help="JSON list of exponent vectors")
-    g.set_defaults(fn=_cmd_emit_cert)
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     # without --timeout-s, tables and trials resolve "auto" to the
     # harness's per-i default cap; --timeout-s 0 runs uncapped
-    if args.timeout_s is None:
+    if "timeout_s" in vars(args) and args.timeout_s is None:
         args.timeout_s = "auto"
     try:
         return args.fn(args)

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import satura
 from satura import cli
 from satura.cli import main
 
@@ -51,7 +56,7 @@ def test_gi_single(capsys):
 
 
 def test_gi_single_timeout(capsys):
-    code, out, _ = run(capsys, "gi", "--problem", "alt", "--i", "6",
+    code, out, _ = run(capsys, "gi", "--problem", "alt", "--i", "5",
                        "--prime", "32771", "--timeout-s", "0.02")
     payload = json.loads(out)
     assert code == 3
@@ -66,8 +71,8 @@ def test_gi_table_and_exit_code(capsys, tmp_path):
     cells = json.loads(out)["cells"]
     assert [c["value"] for c in cells] == [5, 5, 6, 6]
     assert ck.exists()
-    # alt i=6 under an absurd cap: the "-" cell drives exit code 3
-    code, out, _ = run(capsys, "gi", "--problem", "alt", "--i", "6,7",
+    # alt i=5 under an absurd cap: the "-" cell drives exit code 3
+    code, out, _ = run(capsys, "gi", "--problem", "alt", "--i", "5,7",
                        "--prime", "32771", "--timeout-s", "0.02")
     assert code == 3
     assert json.loads(out)["cells"][0]["value"] == "-"
@@ -85,12 +90,11 @@ def test_gi_checkpoint_from_another_run_exits_2(capsys, tmp_path):
 
 
 def test_trial_failures_exit_3(capsys):
-    for argv in (("trials", "--i", "6"), ("gi", "--i", "6")):
-        code, out, _ = run(capsys, *argv, "--problem", "alt", "--prime", "32771",
-                           "--trials", "2", "--timeout-s", "0.02",
-                           "--threads", "1")
-        assert code == 3
-        assert json.loads(out)["histogram"] == {"timeout": 2}
+    code, out, _ = run(capsys, "trials", "--problem", "alt", "--i", "5",
+                       "--prime", "32771", "--trials", "2", "--timeout-s", "0.02",
+                       "--threads", "1")
+    assert code == 3
+    assert json.loads(out)["histogram"] == {"timeout": 2}
 
 
 def test_order_flag_applies(capsys):
@@ -104,23 +108,14 @@ def test_order_flag_applies(capsys):
     assert code == 0 and json.loads(out)["value"] == 5
 
 
-def test_gi_trials_mode(capsys):
-    code, out, _ = run(capsys, "gi", "--problem", "monomial", "--i", "1",
-                       "--prime", "32003", "--trials", "6", "--threads", "1")
-    payload = json.loads(out)
-    assert code == 0
-    assert payload["kind"] == "trials" and payload["trials"] == 6
-    assert payload["histogram"] == {"5": 6}
-
-
-def test_gi_trials_zero_and_one_are_trial_reports(capsys):
-    for n in (0, 1):
-        code, out, _ = run(capsys, "gi", "--problem", "monomial", "--i", "1",
+def test_trials_zero_one_and_six_are_trial_reports(capsys):
+    for n in (0, 1, 6):
+        code, out, _ = run(capsys, "trials", "--problem", "monomial", "--i", "1",
                            "--prime", "32003", "--trials", str(n), "--threads", "1")
         payload = json.loads(out)
         assert code == 0
         assert payload["kind"] == "trials" and payload["trials"] == n
-        assert payload["histogram"] == ({"5": 1} if n else {})
+        assert payload["histogram"] == ({"5": n} if n else {})
 
 
 def test_trials_csv(capsys):
@@ -161,10 +156,6 @@ def test_gi_bad_index_lists_exit_2(capsys):
     code, out, err = run(capsys, "gi", "--problem", "monomial", "--i", "",
                          "--prime", "32003")
     assert code == 2 and "error" in err and out == ""
-    # a trial batch runs one (i, p) cell: a list would drop all but the first
-    code, out, err = run(capsys, "gi", "--problem", "monomial", "--i", "1,0",
-                         "--prime", "32003", "--trials", "3")
-    assert code == 2 and "--trials" in err and out == ""
 
 
 def test_bad_threads_env_exits_2(capsys, monkeypatch):
@@ -308,18 +299,91 @@ def test_jde_and_emit_cert_refuse_malformed_input_exit_2(capsys, tmp_path):
 
 
 def test_negative_trials_exit_2(capsys):
-    for command in ("gi", "trials"):
-        with pytest.raises(SystemExit) as exc:
-            main([command, "--problem", "monomial", "--i", "1",
-                  "--prime", "32003", "--trials", "-3"])
-        out = capsys.readouterr()
-        assert exc.value.code == 2 and "--trials" in out.err and out.out == ""
+    with pytest.raises(SystemExit) as exc:
+        main(["trials", "--problem", "monomial", "--i", "1",
+              "--prime", "32003", "--trials", "-3"])
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and "--trials" in out.err and out.out == ""
 
 
 def test_negative_timeout_exit_2(capsys):
-    for extra in ((), ("--trials", "2", "--threads", "1")):
+    for command, extra in (("gi", ()), ("trials", ("--trials", "2", "--threads", "1"))):
         with pytest.raises(SystemExit) as exc:
-            main(["gi", "--problem", "monomial", "--i", "1", "--prime", "32003",
+            main([command, "--problem", "monomial", "--i", "1", "--prime", "32003",
                   "--timeout-s", "-1", *extra])
         out = capsys.readouterr()
         assert exc.value.code == 2 and "--timeout-s" in out.err and out.out == ""
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("trials", "--i", "1", "--trials", "2", "--threads", "0"), "--threads"),
+    (("trials", "--i", "1", "--trials", "2", "--threads", "-1"), "--threads"),
+    (("hilbert", "--i", "1", "--dmax", "-1"), "--dmax"),
+    # a trial batch runs one (i, p) cell: a list would drop all but the first
+    (("trials", "--i", "1,0", "--trials", "2"), "--i")],
+    ids=["threads 0", "threads -1", "dmax -1", "trials i list"])
+def test_out_of_range_flags_exit_2(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--problem", "monomial", "--prime", "32003"])
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and f"argument {flag}:" in out.err and out.out == ""
+
+
+def test_flags_a_mode_cannot_honour_exit_2(capsys, tmp_path):
+    single = ("gi", "--problem", "monomial", "--i", "1", "--prime", "32003")
+    for argv, flag in (((*single, "--format", "csv"), "--format csv"),
+                       ((*single, "--checkpoint", str(tmp_path / "ck.json")),
+                        "--checkpoint"),
+                       (("problems", "export", "--name", "monomial",
+                         "--format", "csv"), "--format csv")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and flag in err and out == ""
+    assert not (tmp_path / "ck.json").exists()
+
+
+# what each subcommand needs to get past argparse's required arguments
+REQUIRED = {
+    "gb": ("--file", "sys.json"),
+    "gi": ("--problem", "monomial", "--i", "1", "--prime", "32003"),
+    "hilbert": ("--problem", "monomial", "--i", "1", "--prime", "32003"),
+    "jde": ("--problem", "monomial", "--d", "1", "--e", "0"),
+    "bounds": ("--degrees", "2,3", "--g-upper", "6"),
+    "problems": ("list",),
+    "emit-cert": ("--file", "sys.json", "--points", "pts.json",
+                  "--columns", "cols.json", "--d", "1"),
+}
+FLAG_VALUE = {"--seed": "1", "--threads": "1", "--timeout-s": "1",
+              "--format": "csv", "--order": "lex"}
+UNREAD = [(command, flag) for command, flags in (
+    ("gb", "--seed --threads --timeout-s --format"),
+    ("gi", "--threads"),
+    ("hilbert", "--threads"),
+    ("jde", "--seed --threads --timeout-s --format"),
+    ("bounds", "--seed --threads --timeout-s --format --order"),
+    ("problems", "--seed --threads --timeout-s --order"),
+    ("emit-cert", "--seed --threads --timeout-s --format"),
+) for flag in flags.split()]
+
+
+@pytest.mark.parametrize("command, flag", UNREAD,
+                         ids=[f"{c} {f}" for c, f in UNREAD])
+def test_flags_a_subcommand_does_not_read_exit_2(capsys, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([command, *REQUIRED[command], flag, FLAG_VALUE[flag]])
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and "unrecognized arguments" in out.err
+    assert flag in out.err and out.out == ""
+
+
+def test_module_entry_exit_codes():
+    # the shell-visible exit codes, through a fresh interpreter
+    src = str(Path(satura.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    for argv, code in ((("problems", "list"), 0),
+                       (("bounds", *REQUIRED["bounds"], "--seed", "1"), 2),
+                       (("gi", "--problem", "alt", "--i", "5", "--prime", "32771",
+                         "--timeout-s", "0.02"), 3)):
+        proc = subprocess.run([sys.executable, "-m", "satura.cli", *argv],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == code, proc.stderr
