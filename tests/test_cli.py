@@ -108,14 +108,23 @@ def test_order_flag_applies(capsys):
     assert code == 0 and json.loads(out)["value"] == 5
 
 
-def test_trials_zero_one_and_six_are_trial_reports(capsys):
-    for n in (0, 1, 6):
+def test_gi_trials_mode(capsys):
+    code, out, _ = run(capsys, "trials", "--problem", "monomial", "--i", "1",
+                       "--prime", "32003", "--trials", "6", "--threads", "1")
+    payload = json.loads(out)
+    assert code == 0
+    assert payload["kind"] == "trials" and payload["trials"] == 6
+    assert payload["histogram"] == {"5": 6}
+
+
+def test_gi_trials_zero_and_one_are_trial_reports(capsys):
+    for n in (0, 1):
         code, out, _ = run(capsys, "trials", "--problem", "monomial", "--i", "1",
                            "--prime", "32003", "--trials", str(n), "--threads", "1")
         payload = json.loads(out)
         assert code == 0
         assert payload["kind"] == "trials" and payload["trials"] == n
-        assert payload["histogram"] == ({"5": n} if n else {})
+        assert payload["histogram"] == ({"5": 1} if n else {})
 
 
 def test_trials_csv(capsys):
