@@ -2,24 +2,24 @@
 
 Exit codes: 0 success, 2 validation problems, 3 when a run finished
 but a cell or trial failed (timeout or error), mirroring unfinished-cell
-dashes in printed tables; a single g_i query that hits --timeout-s
-reports {"timeout": true} and exits 3 the same way.
+dashes in printed tables.  A single g_i query is a one-cell table.
 """
 
 import argparse
+import csv
+import io
 import json
 import math
 import sys
 from fractions import Fraction
 
-from .arith import prime_field
-from .bounds import BoundsInput, bezout_bound, bounds_report
+from .arith import InvalidModulus, prime_field
+from .bounds import BoundsInput, bounds_report
 from .groebner import buchberger, ideal_degree, is_zero_dimensional
-from .harness import gi_table, hilbert_table, run_capped, run_trials
+from .harness import gi_table, hilbert_table, run_trials
 from .hilbert import emit_certification_system, jde_dimension
 from .poly import order_from_name, polys_from_json, polys_to_json
 from .problems import PROBLEMS, ProblemInstance, conics_pstar_system, get_problem
-from .saturate import compute_gi
 
 
 def _load_system(path, order):
@@ -54,6 +54,17 @@ def _int_list(text: str):
     if not out:
         raise ValueError(f"expected a comma list of integers, got {text!r}")
     return out
+
+
+def _check_primes(primes):
+    """primes, each refused with exit 2 unless prime_field takes it, so a
+    bad --prime stops a run before any cell or trial starts."""
+    for p in primes:
+        try:
+            prime_field(p)
+        except InvalidModulus as exc:
+            raise ValueError(f"--prime: {exc}") from None
+    return primes
 
 
 def _at_least(kind, low):
@@ -101,36 +112,15 @@ def _cmd_gb(args) -> int:
 
 def _cmd_gi(args) -> int:
     problem = _resolve_problem(args.problem, args.order)
-    i_list = _int_list(args.i)
-    p_list = _int_list(args.prime)
-    if len(i_list) > 1 or len(p_list) > 1:
-        return _emit_run(gi_table(problem, i_list, p_list, args.seed,
-                                  timeout_s=args.timeout_s,
-                                  checkpoint=args.checkpoint), args)
-    if args.checkpoint is not None or args.format == "csv":
-        flag = "--format csv" if args.format == "csv" else "--checkpoint"
-        raise ValueError(f"{flag} needs a table: give --i or --prime a comma list")
-    i, p = i_list[0], p_list[0]
-    payload = {"value": None, "i": i, "prime": p, "seed": args.seed,
-               "elapsed_ms": None, "degenerate": False, "unit": False,
-               "timeout": False}
-    # a single query runs uncapped unless --timeout-s is given
-    cap = None if args.timeout_s == "auto" else args.timeout_s
-    out = run_capped(lambda: compute_gi(problem, i, prime_field(p), args.seed),
-                     cap)
-    if out.kind == "error":
-        raise ValueError(out.message)
-    if out.kind == "ok":
-        payload.update(value=out.result.value, unit=out.result.unit,
-                       elapsed_ms=round(out.result.elapsed * 1000, 3))
-    payload["timeout"] = out.kind == "timeout"
-    payload["degenerate"] = out.kind == "degenerate"
-    _emit(json.dumps(payload, indent=2), args.out)
-    return 3 if payload["timeout"] else 0
+    return _emit_run(gi_table(problem, _int_list(args.i),
+                              _check_primes(_int_list(args.prime)), args.seed,
+                              timeout_s=args.timeout_s,
+                              checkpoint=args.checkpoint), args)
 
 
 def _cmd_hilbert(args) -> int:
     problem = _resolve_problem(args.problem, args.order)
+    _check_primes([args.prime])
     return _emit_run(hilbert_table(problem, _int_list(args.i), args.prime,
                                    args.dmax, args.seed,
                                    timeout_s=args.timeout_s), args)
@@ -149,6 +139,7 @@ def _cmd_jde(args) -> int:
 
 def _cmd_trials(args) -> int:
     problem = _resolve_problem(args.problem, args.order)
+    _check_primes([args.prime])
     return _emit_run(run_trials(problem, args.i, args.prime, args.trials,
                                 args.seed, threads=args.threads,
                                 reference=args.reference,
@@ -183,10 +174,11 @@ def _cmd_problems(args) -> int:
         if args.format == "json":
             _emit(json.dumps({"problems": rows}, indent=2), args.out)
         else:
-            lines = [f"{r['name']}: r={r['r']} polynomials, n={r['n']} variables, "
-                     f"degrees {r['degrees']}, {r['base_locus_spaces']} base locus spaces"
-                     for r in rows]
-            _emit("\n".join(lines), args.out)
+            buf = io.StringIO()
+            w = csv.DictWriter(buf, fieldnames=list(rows[0]))
+            w.writeheader()
+            w.writerows(rows)
+            _emit(buf.getvalue(), args.out)
         return 0
     if not args.name:
         raise ValueError("export needs --name")

@@ -17,7 +17,7 @@ import time
 import zlib
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field as dfield
+from dataclasses import dataclass
 from typing import Optional
 
 from .arith import prime_field
@@ -103,15 +103,20 @@ def run_capped(fn, timeout_s) -> Outcome:
     return Outcome(kind, None, time.perf_counter() - start, message)
 
 
+def _gi(inst, i: int, p: int, seed: int) -> dict:
+    """One g_i count over F_p: {"value"}, plus {"unit": True} for a unit ideal."""
+    r = compute_gi(inst, i, prime_field(p), seed)
+    return {"value": r.value, **({"unit": True} if r.unit else {})}
+
+
 def _run_one(payload):
     """One trial, exception-proof; runs in a worker process or inline."""
     inst, i, p, seed, timeout_s = payload
-    out = run_capped(lambda: compute_gi(inst, i, prime_field(p), seed),
-                     timeout_s)
+    out = run_capped(lambda: _gi(inst, i, p, seed), timeout_s)
     kind, value = out.kind, None
     if kind == "ok":
-        kind = "unit" if out.result.unit else "value"
-        value = out.result.value
+        kind = "unit" if out.result.get("unit") else "value"
+        value = out.result["value"]
     return {"kind": kind, "value": value, "elapsed": out.elapsed,
             "message": out.message}
 
@@ -315,18 +320,34 @@ def _save_checkpoint(path, header: dict, done: dict) -> None:
     os.replace(tmp, path)
 
 
-def _table_cell(key: dict, out: Outcome) -> dict:
-    """One table record: the cell key, then the fields the run returned,
-    or value "-" with the outcome and any error message."""
-    cell = dict(key)
-    if out.kind == "ok":
-        cell.update(out.result)
-    else:
-        cell.update(value="-", outcome=out.kind)
-        if out.message:
-            cell["message"] = out.message
-    cell["elapsed"] = round(out.elapsed, 3)
-    return cell
+def _cell_table(kind, problem, seed: int, keys, timeout_s, run,
+                checkpoint=None) -> CellTable:
+    """One record per (i, p) in keys: the cell key, then the fields that
+    run(i, p, cell_seed) returned under the cap for i, or value "-" with
+    the outcome and any error message.  The cell seed is split from seed
+    by i, then p.  With a checkpoint, finished cells are read from it
+    and each new one is saved as soon as it ends."""
+    header = _checkpoint_header(problem, seed) if checkpoint else None
+    done = _load_checkpoint(checkpoint, header)
+    cells = []
+    for i, p in keys:
+        key = (str(i), str(p))
+        if key not in done:
+            cell_seed = split_seed(split_seed(seed, i), p)
+            out = run_capped(lambda: run(i, p, cell_seed),
+                             _resolve_timeout(timeout_s, i))
+            cell = {"i": i, "prime": p, "seed": cell_seed}
+            if out.kind == "ok":
+                cell.update(out.result)
+            else:
+                cell.update(value="-", outcome=out.kind)
+                if out.message:
+                    cell["message"] = out.message
+            cell["elapsed"] = round(out.elapsed, 3)
+            done[key] = cell
+            _save_checkpoint(checkpoint, header, done)
+        cells.append(done[key])
+    return CellTable(kind, problem.name, seed, tuple(cells))
 
 
 def gi_table(problem, i_list, prime_list, seed: int, timeout_s="auto",
@@ -336,46 +357,23 @@ def gi_table(problem, i_list, prime_list, seed: int, timeout_s="auto",
     A cell that did not finish records value "-", matching the usual
     convention for runs that failed to finish, with its outcome.
     """
-    header = _checkpoint_header(problem, seed)
-    done = _load_checkpoint(checkpoint, header)
-    cells = []
-    for i in i_list:
-        cap = _resolve_timeout(timeout_s, i)
-        for p in prime_list:
-            key = (str(i), str(p))
-            if key in done:
-                cells.append(done[key])
-                continue
-            cell_seed = split_seed(split_seed(seed, i), p)
-
-            def count():
-                r = compute_gi(problem, i, prime_field(p), cell_seed)
-                return {"value": r.value, **({"unit": True} if r.unit else {})}
-
-            cell = _table_cell({"i": i, "prime": p, "seed": cell_seed},
-                               run_capped(count, cap))
-            done[key] = cell
-            _save_checkpoint(checkpoint, header, done)
-            cells.append(cell)
-    return CellTable("gi_table", problem.name, seed, tuple(cells))
+    keys = [(i, p) for i in i_list for p in prime_list]
+    return _cell_table("gi_table", problem, seed, keys, timeout_s,
+                       lambda i, p, cell_seed: _gi(problem, i, p, cell_seed),
+                       checkpoint)
 
 
 def hilbert_table(problem, i_list, p: int, d_max: int, seed: int,
                   timeout_s="auto") -> CellTable:
     """Affine Hilbert function rows, one per i, at a single prime."""
     require_degree_compatible(problem.ring)
-    cells = []
-    for i in i_list:
-        cell_seed = split_seed(split_seed(seed, i), p)
 
-        def row():
-            params = draw_parameters(i, problem.n, problem.r, prime_field(p),
-                                     cell_seed)
-            basis = buchberger(build_saturated_system(problem, params).generators)
-            prof = affine_hilbert_function(basis, d_max)
-            return {"value": list(prof.row()), "stabilized_at": prof.stabilized_at,
-                    "stable_value": prof.stable_value}
+    def row(i, p, cell_seed):
+        params = draw_parameters(i, problem.n, problem.r, prime_field(p), cell_seed)
+        basis = buchberger(build_saturated_system(problem, params).generators)
+        prof = affine_hilbert_function(basis, d_max)
+        return {"value": list(prof.row()), "stabilized_at": prof.stabilized_at,
+                "stable_value": prof.stable_value}
 
-        cells.append(_table_cell({"i": i, "prime": p, "seed": cell_seed},
-                                 run_capped(row, _resolve_timeout(timeout_s, i))))
-    return CellTable("hilbert_table", problem.name, seed, tuple(cells))
+    return _cell_table("hilbert_table", problem, seed,
+                       [(i, p) for i in i_list], timeout_s, row)

@@ -13,7 +13,7 @@ parse_polynomial / print_polynomial and polys_to_json / polys_from_json.
 
 from fractions import Fraction
 
-from .arith import QQ, field_from_descriptor, prime_field
+from .arith import field_from_descriptor
 
 Monomial = tuple
 

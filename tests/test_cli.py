@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import subprocess
@@ -24,8 +26,17 @@ def test_problems_list(capsys):
     names = [row["name"] for row in json.loads(out)["problems"]]
     assert code == 0
     assert names == ["alt", "conics-affine", "monomial-example", "conics-pstar"]
+
+
+def test_problems_list_csv_is_a_table(capsys):
     code, out, _ = run(capsys, "problems", "list", "--format", "csv")
-    assert code == 0 and "alt: r=15 polynomials" in out
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert code == 0
+    assert [r["name"] for r in rows] == ["alt", "conics-affine",
+                                         "monomial-example", "conics-pstar"]
+    assert rows[0] == {"name": "alt", "n": "8", "r": "15",
+                       "degrees": "[2, 3, 3, 4, 4, 5, 5, 4, 5, 5, 6, 6, 6, 7, 7]",
+                       "base_locus_spaces": "7"}
 
 
 def test_problems_export_and_gb(capsys, tmp_path):
@@ -49,18 +60,53 @@ def test_export_requires_name(capsys):
 def test_gi_single(capsys):
     code, out, _ = run(capsys, "gi", "--problem", "monomial", "--i", "1",
                        "--prime", "32003")
-    payload = json.loads(out)
+    table = json.loads(out)
     assert code == 0
-    assert payload["value"] == 5
-    assert payload["degenerate"] is False
+    assert table["kind"] == "gi_table" and len(table["cells"]) == 1
+    cell = table["cells"][0]
+    assert cell["value"] == 5
+    assert "outcome" not in cell
 
 
 def test_gi_single_timeout(capsys):
     code, out, _ = run(capsys, "gi", "--problem", "alt", "--i", "5",
                        "--prime", "32771", "--timeout-s", "0.02")
-    payload = json.loads(out)
+    cell, = json.loads(out)["cells"]
     assert code == 3
-    assert payload["value"] is None and payload["timeout"] is True
+    assert cell["value"] == "-" and cell["outcome"] == "timeout"
+
+
+def test_gi_single_is_the_same_cell_as_in_a_table(capsys):
+    query = ("gi", "--problem", "alt", "--i", "6", "--seed", "2024")
+    code, out, _ = run(capsys, *query, "--prime", "32771")
+    assert code == 0
+    single, = json.loads(out)["cells"]
+    code, out, _ = run(capsys, *query, "--prime", "32771,32003")
+    assert code == 0
+    shared = json.loads(out)["cells"][0]
+    assert shared["prime"] == single["prime"] == 32771
+    assert shared["seed"] == single["seed"] != 2024
+    assert shared["value"] == single["value"] == 43
+
+
+def test_gi_single_csv_is_one_row(capsys):
+    code, out, _ = run(capsys, "gi", "--problem", "monomial", "--i", "1",
+                       "--prime", "32003", "--format", "csv")
+    row, = csv.DictReader(io.StringIO(out))
+    assert code == 0
+    assert (row["i"], row["prime"], row["value"]) == ("1", "32003", "5")
+
+
+def test_gi_single_checkpoint_resumes(capsys, tmp_path):
+    ck = tmp_path / "ck.json"
+    query = ("gi", "--problem", "monomial", "--i", "1", "--prime", "32003",
+             "--checkpoint", str(ck))
+    code, out, _ = run(capsys, *query)
+    assert code == 0
+    cell, = json.loads(out)["cells"]
+    assert json.loads(ck.read_text())["cells"] == {"1|32003": cell}
+    code, out, _ = run(capsys, *query)
+    assert code == 0 and json.loads(out)["cells"] == [cell]
 
 
 def test_gi_table_and_exit_code(capsys, tmp_path):
@@ -105,7 +151,7 @@ def test_order_flag_applies(capsys):
     # g_i is the same count under either order
     code, out, _ = run(capsys, "gi", "--problem", "monomial", "--i", "1",
                        "--prime", "32003", "--order", "lex")
-    assert code == 0 and json.loads(out)["value"] == 5
+    assert code == 0 and json.loads(out)["cells"][0]["value"] == 5
 
 
 def test_gi_trials_mode(capsys):
@@ -338,16 +384,37 @@ def test_out_of_range_flags_exit_2(capsys, argv, flag):
     assert exc.value.code == 2 and f"argument {flag}:" in out.err and out.out == ""
 
 
-def test_flags_a_mode_cannot_honour_exit_2(capsys, tmp_path):
-    single = ("gi", "--problem", "monomial", "--i", "1", "--prime", "32003")
-    for argv, flag in (((*single, "--format", "csv"), "--format csv"),
-                       ((*single, "--checkpoint", str(tmp_path / "ck.json")),
-                        "--checkpoint"),
-                       (("problems", "export", "--name", "monomial",
-                         "--format", "csv"), "--format csv")):
-        code, out, err = run(capsys, *argv)
-        assert code == 2 and flag in err and out == ""
+def test_flags_a_mode_cannot_honour_exit_2(capsys):
+    code, out, err = run(capsys, "problems", "export", "--name", "monomial",
+                         "--format", "csv")
+    assert code == 2 and "--format csv" in err and out == ""
+
+
+@pytest.mark.parametrize("command, extra, prime", [
+    ("gi", (), "9,32003"),
+    ("gi", (), "32003,1"),
+    ("gi", (), "32003,-7"),
+    ("gi", (), f"32003,{2**63 - 25}"),
+    ("hilbert", (), "9"),
+    ("trials", ("--trials", "2", "--threads", "1"), "9")],
+    ids=["gi composite", "gi one", "gi negative", "gi 63-bit prime",
+         "hilbert composite", "trials composite"])
+def test_bad_prime_exits_2_before_any_cell(capsys, tmp_path, command, extra, prime):
+    ck = ("--checkpoint", str(tmp_path / "ck.json")) if command == "gi" else ()
+    code, out, err = run(capsys, command, "--problem", "monomial", "--i", "1",
+                         "--prime", prime, *extra, *ck)
+    assert code == 2 and "--prime" in err and out == ""
     assert not (tmp_path / "ck.json").exists()
+
+
+def test_prime_too_small_for_the_system_is_an_error_cell(capsys):
+    # 3 is prime, so it passes --prime; the monomial system needs p >= 5
+    code, out, _ = run(capsys, "gi", "--problem", "monomial", "--i", "1",
+                       "--prime", "3")
+    cell, = json.loads(out)["cells"]
+    assert code == 3
+    assert cell["value"] == "-" and cell["outcome"] == "error"
+    assert "must be at least 5" in cell["message"]
 
 
 # what each subcommand needs to get past argparse's required arguments
