@@ -42,11 +42,14 @@ def _resolve_problem(spec: str, order_name: str = "grevlex") -> ProblemInstance:
 
 
 def _emit(text: str, out_path: str = None) -> None:
+    """Write text, ending in one newline, to out_path or stdout."""
+    if not text.endswith("\n"):
+        text += "\n"
     if out_path:
         with open(out_path, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+            fh.write(text)
     else:
-        print(text)
+        sys.stdout.write(text)
 
 
 def _int_list(text: str):

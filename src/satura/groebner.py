@@ -56,10 +56,20 @@ set aside, and the main loop runs on the other generators, packed in
 the remaining variables.  Their final interreduction runs there too;
 after lifting, only the tails of the set-aside generators are reduced
 by them, since no term of theirs contains an eliminated variable.
+
+Draws of one batch often run the same F4 computation with other
+coefficients.  An `F4Trace` records a full F_p run matrix by matrix
+(S-pairs, reducer rows, sorted columns, new leading columns), and
+`buchberger(gens, trace)` replays it on inputs whose main loop starts
+from the record's leading monomials, with no pair update, pruning,
+reducer search or column sort: Traverso's Groebner trace algorithms
+(ISSAC 1988) and Joux and Vitse's F4Remake (CT-RSA 2011), but keeping
+every S-row.  Each replayed matrix is checked against the record and a
+mismatch reruns in full, so the basis is bit-identical either way.
 """
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -364,27 +374,24 @@ def _substitute(d: dict, linear, mod, codec: _Codec) -> dict:
     return d
 
 
-def _f4_reduce(spolys, find, p: int, guards: int, stats) -> list:
-    """F4's linear algebra over F_p for one batch of S-polynomials.
-
-    Symbolic preprocessing adds a reducer row (shifted generator, from
-    find) for every monomial of the matrix that a live leading monomial
-    divides; each S-polynomial row is then reduced against those and the
-    S-rows before it in one echelon pass.  Returns the rows that do not
-    vanish, monic, as packed term dicts.
+def _preprocess(spolys, find, guards: int):
+    """Symbolic preprocessing for one F4 matrix over F_p: a reducer (a
+    shifted generator, from find) for every monomial of the matrix that a
+    live leading monomial divides.  Returns the columns (the monomials,
+    ascending), their index and the reducers as (column, record, shift).
     """
     monos = set()
     for s in spolys:
         monos.update(s)
     todo = list(monos)
-    reducers = []   # (leading monomial, record, shift)
+    found = []
     while todo:
         m = todo.pop()
         rec = find(m)
         if rec is None:
             continue
         shift = m - rec[0]
-        reducers.append((m, rec, shift))
+        found.append((m, rec, shift))
         for tm, _ in rec[2]:
             mm = tm + shift
             if mm not in monos:
@@ -394,20 +401,36 @@ def _f4_reduce(spolys, find, p: int, guards: int, stats) -> list:
                 todo.append(mm)
     cols = sorted(monos)
     index = {m: k for k, m in enumerate(cols)}
+    return cols, index, [(index[m], rec, shift) for m, rec, shift in found]
+
+
+def _f4_matrix(spolys, cols, index, reducers, p: int, stats):
+    """F4's linear algebra over F_p for one batch of S-polynomials: each
+    S-row is reduced against the reducer rows and the S-rows before it in
+    one echelon pass.
+
+    Returns the leading columns of the rows that do not vanish, in
+    descending order, and those rows, monic, as packed term dicts in the
+    same order.  An S-row term whose coefficient is 0 mod p is left out;
+    any other monomial missing from index raises KeyError.
+    """
     ech = PackedEchelon(p, len(cols))
-    for m, (_, _, tail), shift in reducers:
-        ech.pivots[index[m]] = ech.pack((index[tm + shift], c) for tm, c in tail)
+    for k, (_, _, tail), shift in reducers:
+        ech.pivots[k] = ech.pack((index[tm + shift], c) for tm, c in tail)
+    leads = [ech.insert(ech.pack((index[m], c) for m, c in s.items() if c % p))
+             for s in spolys]
+    leads = sorted((k for k in leads if k is not None), reverse=True)
+    stats.spairs_reduced += len(spolys)
+    stats.zero_reductions += len(spolys) - len(leads)
     stats.matrices += 1
     stats.matrix_rows += len(reducers) + len(spolys)
     stats.matrix_columns += len(cols)
-    out = []
-    for s in spolys:
-        k = ech.insert(ech.pack((index[m], c) for m, c in s.items()))
-        if k is not None:
-            h = {cols[j]: c for j, c in ech.entries(ech.pivots[k])}
-            h[cols[k]] = 1
-            out.append(h)
-    return out
+    rows = []
+    for k in leads:
+        h = {cols[j]: c for j, c in ech.entries(ech.pivots[k])}
+        h[cols[k]] = 1
+        rows.append(h)
+    return leads, rows
 
 
 @dataclass
@@ -521,10 +544,30 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     return _from_packed(_exact(out, mult, mod), codec, ring)
 
 
-def buchberger(gens) -> GroebnerBasis:
+class F4Trace:
+    """What one full F4 run over F_p did, kept to replay it on later
+    inputs whose main loop starts from the same leading monomials.
+
+    `record` is None until a full run through `buchberger(gens, trace)`
+    completes, and each later full run replaces it.  `last` says how the
+    latest such call computed its basis: "learned" (the trace held no
+    record), "replayed", or "fallback" (the record did not fit, and a
+    full run replaced it); None when the call ran no F_p main loop.
+    """
+
+    __slots__ = ("record", "last")
+
+    def __init__(self):
+        self.record = None
+        self.last = None
+
+
+def buchberger(gens, trace=None) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal generated by gens.
 
-    Shuffling the input changes only the work performed, never the result.
+    Shuffling the input changes only the work performed, never the result;
+    so does an `F4Trace`, which over F_p replays a recorded run where it
+    fits and learns from a full run where it does not.
     Raises OverflowError when an exponent passes 2^15 - 1.
     """
     gens = list(gens)
@@ -534,14 +577,16 @@ def buchberger(gens) -> GroebnerBasis:
     for g in gens:
         if g.ring != ring:
             raise ValueError("generators from different rings")
+    if trace is not None:
+        trace.last = None
     try:
-        return _buchberger(gens, ring, 8)
+        return _buchberger(gens, ring, 8, trace)
     except OverflowError:
         pass  # rerun outside the handler: an overflow at 16 bits raises alone
-    return _buchberger(gens, ring, 16)
+    return _buchberger(gens, ring, 16, trace)
 
 
-def _buchberger(gens, ring: PolyRing, width: int) -> GroebnerBasis:
+def _buchberger(gens, ring: PolyRing, width: int, trace) -> GroebnerBasis:
     """`buchberger` with exponent fields width bits wide."""
     mod = ring.field.p
     n, order = ring.nvars, ring.order.name
@@ -573,7 +618,69 @@ def _buchberger(gens, ring: PolyRing, width: int) -> GroebnerBasis:
     keep = [j for j in range(n) if j not in gone]
     codec = _codec(len(keep), order, width)
     stats.linear_set_aside, stats.reduced_nvars = len(linear), len(keep)
+    inputs = []
+    for d in rest:
+        restricted = {}
+        for p, c in d.items():
+            e = full.unpack(p)
+            restricted[codec.pack([e[j] for j in keep])] = c
+        inputs.append(restricted)
+
+    # with a trace over F_p, replay its record when the main loop starts
+    # from the same leading monomials, else run in full and record
+    key = live = record = None
+    if trace is not None and mod:
+        key = (order, width, tuple(keep), tuple(max(d) for d in inputs))
+        old = trace.record
+        if old is not None and old[0] == key:
+            counted = replace(stats)
+            live = _replay(inputs, old, mod, codec.guards, counted)
+        if live is not None:
+            stats = counted
+            trace.last = "replayed"
+        else:
+            trace.last = "learned" if old is None else "fallback"
+    if live is None:
+        live, record = _main_loop(inputs, codec, mod, stats, key)
+        if live is None:
+            return GroebnerBasis(ring, (ring.one(),), stats)
+
+    # interreduce the live generators in the remaining variables and lift
+    # them back to all; their terms hold no leading variable of a linear
+    # generator, so only the linear generators' tails need reducing
+    final = []
+    for d in _autoreduce(sorted(live, key=max), mod, codec):
+        lifted = {}
+        for p, c in d.items():
+            e = [0] * n
+            for j, x in zip(keep, codec.unpack(p)):
+                e[j] = x
+            lifted[full.pack(e)] = c
+        final.append(lifted)
+    find = _scan([_prepare(h, mod) for h in final], full)
+    final += [_nf_packed(d, find, mod, full.guards)[0] for d in linear]
+    for h in final:
+        _monic(h, mod)
+    final.sort(key=max)
+    if record is not None:
+        trace.record = record
+    return GroebnerBasis(
+        ring, tuple(_from_packed(h, full, ring) for h in final), stats)
+
+
+def _main_loop(inputs, codec: _Codec, mod, stats, key):
+    """Buchberger's main loop from the packed inputs, in input order.
+
+    Returns (live, record): the live generators at the end, or None for
+    the unit ideal, and with a key (F_p only) the run's record for an
+    `F4Trace`, else None.  The record is (key, matrices, final live
+    indices, pair counters); a matrix is (pairs as (i, j, lcm), reducers
+    as (column, generator index, shift), columns, column index, new
+    leading columns, generators whose reducer record it dropped).
+    Generators are numbered in the order they are added.
+    """
     guards, sign, one = codec.guards, codec.sign, codec.one
+    learned = None if key is None else []
 
     # A generator's dict is kept while it is live, its reducer record
     # while it is live or a queued pair names it.
@@ -650,14 +757,12 @@ def _buchberger(gens, ring: PolyRing, width: int) -> GroebnerBasis:
         live[:] = stay
         live.append(t)
 
-    for d in rest:
-        restricted = {}
-        for p, c in d.items():
-            e = full.unpack(p)
-            restricted[codec.pack([e[j] for j in keep])] = c
-        add_generator(restricted)
+    for d in inputs:
+        add_generator(d)
 
     while pairs:
+        if learned is not None:
+            had, t0 = list(prepared), len(keys)
         # F_p: every pair of the lowest lcm degree, reduced in one matrix;
         # Q: the one smallest pair, reduced fraction-free
         queue = [(dL, L, ij) for ij, (dL, L) in pairs.items()]
@@ -671,40 +776,76 @@ def _buchberger(gens, ring: PolyRing, width: int) -> GroebnerBasis:
                                         mod, guards)[0])
             unqueue(ij)
         if mod:
-            new = _f4_reduce(spolys, find, mod, guards, stats)
+            cols, index, reducers = _preprocess(spolys, find, guards)
+            leads, new = _f4_matrix(spolys, cols, index, reducers, mod, stats)
+            if learned is not None:
+                gen = {prepared[i][0]: i for i in live}
+                learned.append((tuple((i, j, L) for _, L, (i, j) in batch),
+                                tuple((k, gen[r[0]], s) for k, r, s in reducers),
+                                cols, index, leads))
         else:
-            new = [_nf_packed(s, find, mod, guards)[0] for s in spolys]
-            new = [h for h in new if h]
-        stats.spairs_reduced += len(batch)
-        stats.zero_reductions += len(batch) - len(new)
-        # largest leading monomial first: a later one that divides it
-        # drops it from the live set
-        for h in sorted(new, key=max, reverse=True):
+            new = [h for h in (_nf_packed(s, find, mod, guards)[0]
+                               for s in spolys) if h]
+            stats.spairs_reduced += 1
+            stats.zero_reductions += not new
+        # largest leading monomial first (F4 returns them so): a later
+        # one that divides it drops it from the live set
+        for h in new:
             if max(h) == one:
-                return GroebnerBasis(ring, (ring.one(),), stats)
+                return None, None
             _normalize(h, mod)
             add_generator(h)
+        if learned is not None:
+            # a replay drops the reducer records this matrix dropped, also
+            # those of generators it added
+            had += range(t0, len(keys))
+            learned[-1] += (tuple(k for k in had if k not in prepared),)
 
-    # interreduce the live generators in the remaining variables and lift
-    # them back to all; their terms hold no leading variable of a linear
-    # generator, so only the linear generators' tails need reducing
-    final = []
-    for d in _autoreduce(sorted((polys[k] for k in live), key=max), mod,
-                         codec):
-        lifted = {}
-        for p, c in d.items():
-            e = [0] * n
-            for j, x in zip(keep, codec.unpack(p)):
-                e[j] = x
-            lifted[full.pack(e)] = c
-        final.append(lifted)
-    find = _scan([_prepare(h, mod) for h in final], full)
-    final += [_nf_packed(d, find, mod, full.guards)[0] for d in linear]
-    for h in final:
-        _monic(h, mod)
-    final.sort(key=max)
-    return GroebnerBasis(
-        ring, tuple(_from_packed(h, full, ring) for h in final), stats)
+    record = None
+    if learned is not None:
+        record = (key, tuple(learned), tuple(live), (
+            stats.pairs_created, stats.pairs_pruned_new, stats.pairs_pruned_chain))
+    return [polys[k] for k in live], record
+
+
+def _replay(inputs, record, p: int, guards: int, stats):
+    """The main loop of `_main_loop`'s record on inputs with the record's
+    leading monomials, over F_p: each recorded matrix is built straight
+    from its pairs, reducers and columns, with no pair update or reducer
+    search.  Every S-row is kept, including those that vanished when the
+    record was made.
+
+    Returns the live generators, or None at the first matrix that leaves
+    the record: a monomial outside its columns, or new leading columns
+    other than the recorded ones (a constant row among them, as no
+    recorded run has one).  Pairs and reducers depend only on the leading
+    monomials, so a replay that returns reduces each S-row by the same
+    reducer rows as the full run would, and gives the same generators;
+    its matrices may hold other rows and columns, which no row reaches.
+    """
+    _, matrices, live, counts = record
+    prepared = {t: _prepare(d, p) for t, d in enumerate(inputs)}
+    polys = {t: d for t, d in enumerate(inputs) if t in live}
+    t = len(inputs)
+    for pairs, reducers, cols, index, leads, free in matrices:
+        spolys = [_spoly_packed(prepared[i], prepared[j], L, p, guards)[0]
+                  for i, j, L in pairs]
+        rows = [(k, prepared[g], shift) for k, g, shift in reducers]
+        try:
+            got, new = _f4_matrix(spolys, cols, index, rows, p, stats)
+        except KeyError:  # a monomial outside the recorded columns
+            return None
+        if got != leads:
+            return None
+        for h in new:
+            prepared[t] = _prepare(h, p)
+            if t in live:
+                polys[t] = h
+            t += 1
+        for g in free:
+            del prepared[g]
+    stats.pairs_created, stats.pairs_pruned_new, stats.pairs_pruned_chain = counts
+    return [polys[k] for k in live]
 
 
 def _autoreduce(work, mod, codec: _Codec):

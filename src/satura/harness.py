@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .arith import prime_field
-from .groebner import NotZeroDimensional, buchberger
+from .groebner import F4Trace, NotZeroDimensional, buchberger
 from .hilbert import affine_hilbert_function, require_degree_compatible
 from .poly import polys_to_json
 from .saturate import build_saturated_system, compute_gi, draw_parameters, split_seed
@@ -103,22 +103,36 @@ def run_capped(fn, timeout_s) -> Outcome:
     return Outcome(kind, None, time.perf_counter() - start, message)
 
 
-def _gi(inst, i: int, p: int, seed: int) -> dict:
+def _gi(inst, i: int, p: int, seed: int, trace=None) -> dict:
     """One g_i count over F_p: {"value"}, plus {"unit": True} for a unit ideal."""
-    r = compute_gi(inst, i, prime_field(p), seed)
+    r = compute_gi(inst, i, prime_field(p), seed, trace)
     return {"value": r.value, **({"unit": True} if r.unit else {})}
 
 
-def _run_one(payload):
-    """One trial, exception-proof; runs in a worker process or inline."""
+def _run_one(payload, trace):
+    """One trial, exception-proof; runs in a worker process or inline.
+    "trace" says how the F4 trace served a basis that was finished."""
     inst, i, p, seed, timeout_s = payload
-    out = run_capped(lambda: _gi(inst, i, p, seed), timeout_s)
+    out = run_capped(lambda: _gi(inst, i, p, seed, trace), timeout_s)
     kind, value = out.kind, None
     if kind == "ok":
         kind = "unit" if out.result.get("unit") else "value"
         value = out.result["value"]
     return {"kind": kind, "value": value, "elapsed": out.elapsed,
-            "message": out.message}
+            "message": out.message,
+            "trace": trace.last if out.kind in ("ok", "degenerate") else None}
+
+
+_worker_trace = None    # the F4 trace of this pool worker's trials
+
+
+def _start_worker():
+    global _worker_trace
+    _worker_trace = F4Trace()
+
+
+def _run_in_worker(payload):
+    return _run_one(payload, _worker_trace)
 
 
 @dataclass(frozen=True)
@@ -133,6 +147,7 @@ class TrialReport:
     successes: int
     histogram: dict            # bucket -> count
     errors: dict               # message of an "error" trial -> count
+    trace: dict                # learned/replayed/fallback -> trial bases
     wall_time: float
     time_stats: dict           # min/max/mean/median over per-trial seconds
 
@@ -157,6 +172,7 @@ class TrialReport:
             "success_fraction": self.success_fraction,
             "histogram": dict(sorted(self.histogram.items())),
             "errors": dict(sorted(self.errors.items())),
+            "trace": dict(sorted(self.trace.items())),
             "wall_time": self.wall_time,
             "time_stats": self.time_stats,
         }
@@ -177,6 +193,8 @@ class TrialReport:
             w.writerow([f"histogram:{bucket}", count])
         for message, count in d["errors"].items():
             w.writerow([f"errors:{message}", count])
+        for how, count in d["trace"].items():
+            w.writerow([f"trace:{how}", count])
         for key, v in d["time_stats"].items():
             w.writerow([f"time_stats:{key}", v])
         return buf.getvalue()
@@ -193,7 +211,7 @@ def _summary(times) -> dict:
 
 def _resolve_timeout(timeout_s, i: int) -> Optional[float]:
     """timeout_s, or for "auto" 60 s when i >= 6 and none below: g5
-    (3-4 s on a 2-core box), g4 (about 3 minutes) and smaller i cells
+    (2-4 s on a 2-core box), g4 (about 2 minutes) and smaller i cells
     are long-running extended targets, so they stay uncapped."""
     if timeout_s == "auto":
         return 60.0 if i >= 6 else None
@@ -204,7 +222,11 @@ def run_trials(problem, i: int, p: int, trials: int, seed: int,
                threads: Optional[int] = None, reference: Optional[int] = None,
                timeout_s="auto") -> TrialReport:
     """N independent compute_gi draws; success = agreeing with the
-    reference value (built-in table, else the batch's modal value)."""
+    reference value (built-in table, else the batch's modal value).
+
+    Each process that runs trials (a pool worker, or this one when the
+    batch runs serially) keeps one F4 trace for them, which no result
+    depends on; the report counts how it served each trial's basis."""
     if trials < 0:
         raise ValueError("trials must be non-negative")
     timeout_s = _resolve_timeout(timeout_s, i)
@@ -213,19 +235,24 @@ def run_trials(problem, i: int, p: int, trials: int, seed: int,
                 for t in range(trials)]
     start = time.perf_counter()
     if threads == 1 or trials <= 1:
-        outcomes = [_run_one(pl) for pl in payloads]
+        trace = F4Trace()
+        outcomes = [_run_one(pl, trace) for pl in payloads]
     else:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(_run_one, payloads, chunksize=1))
+        with ProcessPoolExecutor(max_workers=threads,
+                                 initializer=_start_worker) as pool:
+            outcomes = list(pool.map(_run_in_worker, payloads, chunksize=1))
     wall = time.perf_counter() - start
 
     histogram, errors = {}, {}
+    traced = dict.fromkeys(("learned", "replayed", "fallback"), 0)
     times = []
     for out in outcomes:
         bucket = str(out["value"]) if out["kind"] == "value" else out["kind"]
         histogram[bucket] = histogram.get(bucket, 0) + 1
         if out["kind"] == "error":
             errors[out["message"]] = errors.get(out["message"], 0) + 1
+        if out["trace"]:
+            traced[out["trace"]] += 1
         times.append(out["elapsed"])
 
     source = "explicit"
@@ -239,7 +266,8 @@ def run_trials(problem, i: int, p: int, trials: int, seed: int,
             reference = max(sorted(value_buckets), key=lambda k: value_buckets[k])
     successes = histogram.get(str(reference), 0) if reference is not None else 0
     return TrialReport(problem.name, i, p, trials, seed, reference, source,
-                       successes, histogram, errors, wall, _summary(times))
+                       successes, histogram, errors, traced, wall,
+                       _summary(times))
 
 
 @dataclass(frozen=True)

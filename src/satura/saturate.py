@@ -157,18 +157,20 @@ def _check_prime_size(field, polys) -> None:
                 f"coefficient magnitude {bound}")
 
 
-def compute_gi(f, i: int, field, seed: int) -> GiResult:
+def compute_gi(f, i: int, field, seed: int, trace=None) -> GiResult:
     """One randomized g_i evaluation.
 
     Degenerate draws raise NotZeroDimensional rather than retrying; the
     trial harness counts them.  A unit ideal is a valid outcome with
-    value 0 and is flagged instead of raised.
+    value 0 and is flagged instead of raised.  An optional
+    `groebner.F4Trace` lets draws of one batch over F_p replay one
+    learned F4 run; the result is the same with or without it.
     """
     _check_prime_size(field, f.polys)
     params = draw_parameters(i, f.n, f.r, field, seed)
     system = build_saturated_system(f, params)
     start = time.perf_counter()
-    basis = buchberger(system.generators)
+    basis = buchberger(system.generators, trace)
     value = len(quotient_basis(basis))
     elapsed = time.perf_counter() - start
     return GiResult(value, i, field.descriptor, params, elapsed,

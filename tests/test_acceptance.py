@@ -166,6 +166,11 @@ def test_criterion_07_alt_hilbert_rows():
             ok, f"{elapsed:.1f}s")
 
 
+def _traced(report):
+    """How each trial's F4 trace served its basis, e.g. "fallback 2 ..."."""
+    return " ".join(f"{how} {n}" for how, n in sorted(report.trace.items()))
+
+
 def test_criterion_08_trial_statistics():
     inst = alt_system()
     start = time.perf_counter()
@@ -178,8 +183,8 @@ def test_criterion_08_trial_statistics():
     ok_b = 0.9936 <= b.success_fraction <= 1.0 and tb <= 1800
     _record(8, "500-trial success fractions at p=251 and p=8191 in 3-sigma bands",
             ok_a and ok_b,
-            f"{a.success_fraction:.4f} vs 0.9592±0.0266 ({ta:.0f}s); "
-            f"{b.success_fraction:.4f} vs [0.9936,1] ({tb:.0f}s)")
+            f"{a.success_fraction:.4f} vs 0.9592±0.0266 ({ta:.0f}s, {_traced(a)}); "
+            f"{b.success_fraction:.4f} vs [0.9936,1] ({tb:.0f}s, {_traced(b)})")
 
 
 def test_criterion_09_bounds_formulas():

@@ -97,6 +97,15 @@ def test_gi_single_csv_is_one_row(capsys):
     assert (row["i"], row["prime"], row["value"]) == ("1", "32003", "5")
 
 
+def test_csv_on_stdout_equals_out_file(capsys, tmp_path):
+    query = ("gi", "--problem", "monomial", "--i", "1", "--prime", "32003",
+             "--format", "csv")
+    _, out, _ = run(capsys, *query)
+    path = tmp_path / "cell.csv"
+    run(capsys, *query, "--out", str(path))
+    assert out.endswith("\r\n") and out == path.read_bytes().decode()
+
+
 def test_gi_single_checkpoint_resumes(capsys, tmp_path):
     ck = tmp_path / "ck.json"
     query = ("gi", "--problem", "monomial", "--i", "1", "--prime", "32003",
@@ -179,6 +188,7 @@ def test_trials_csv(capsys):
                        "--format", "csv")
     assert code == 0
     assert "histogram:6,4" in out.replace("\r", "")
+    assert "trace:learned,1" in out.replace("\r", "")
 
 
 def test_hilbert_rows(capsys):

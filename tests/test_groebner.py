@@ -1,12 +1,14 @@
 import random
+from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from satura import groebner
 from satura.arith import QQ, prime_field
-from satura.groebner import (GroebnerBasis, NotZeroDimensional, _Codec,
-                             buchberger, ideal_degree, is_zero_dimensional,
+from satura.groebner import (F4Trace, GroebnerBasis, NotZeroDimensional,
+                             _Codec, buchberger, ideal_degree, is_zero_dimensional,
                              normal_form, quotient_basis, s_polynomial,
                              verify_groebner)
 from satura.poly import GREVLEX, LEX, PolyRing, mono_div, mono_divides, mono_lcm
@@ -616,3 +618,86 @@ def test_substitution_overflow_reruns_or_raises(order):
         assert set(gb) == {R.parse("x - y"), R.parse("y^200 + 1")}
         with pytest.raises(OverflowError):
             buchberger([R.parse("x - y"), R.parse("x^20000*y^20000 + 1")])
+
+
+def assert_traced_run_is_full_f4(gens, trace):
+    """buchberger with the trace gives full F4's basis and counts; only a
+    replay's matrix rows and columns may differ, being the record's."""
+    full, gb = buchberger(gens), buchberger(gens, trace)
+    assert gb == full
+    a = full.stats
+    assert replace(gb.stats, matrix_rows=a.matrix_rows,
+                   matrix_columns=a.matrix_columns) == a
+    return gb
+
+
+@pytest.mark.parametrize("order", (GREVLEX, LEX), ids=lambda o: o.name)
+def test_trace_replays_match_full_f4_on_fixed_supports(order):
+    # draws on one support with fresh nonzero coefficients share a trace,
+    # over F_5 (where coefficients cancel and the leads move) and
+    # F_(2^61-1), interleaved so that records also cross primes
+    rng = random.Random(18 + (order is LEX))
+    names, max_deg = (("x", "y"), 3) if order is LEX else (("x", "y", "z"), 2)
+    seen, matrices = Counter(), 0
+    for _ in range(4):
+        # as many generators as variables: zero-dimensional, not unit
+        supports = [{tuple(rng.randrange(max_deg + 1) for _ in names)
+                     for _ in range(4)} for _ in names]
+        trace = F4Trace()
+        for _ in range(10):
+            for p in (5, 2 ** 61 - 1):
+                R = PolyRing(names, prime_field(p), order)
+                gens = [R.poly([(m, rng.randrange(1, p)) for m in support])
+                        for support in supports]
+                matrices += assert_traced_run_is_full_f4(gens, trace).stats.matrices
+                seen[trace.last] += 1
+    assert seen["replayed"] and seen["fallback"] and matrices
+
+
+def test_trace_record_of_another_system_falls_back():
+    R = PolyRing(("x", "y", "z"), prime_field(32003))
+    # the same leading monomials x^2 and x*y with other tails: the key
+    # fits, the first S-row leaves the recorded columns
+    same_leads = ([R.parse("x^2 + y*z"), R.parse("x*y + z^2")],
+                  [R.parse("x^2 + y"), R.parse("x*y + z")])
+    trace = F4Trace()
+    assert_traced_run_is_full_f4(same_leads[0], trace)
+    assert trace.last == "learned" and trace.record[1]
+    old = trace.record
+    assert_traced_run_is_full_f4(same_leads[1], trace)
+    assert trace.last == "fallback"
+    assert trace.record is not old and trace.record[0] == old[0]
+    # other leading monomials: the key does not fit
+    assert_traced_run_is_full_f4([R.parse("x^3 - y*z"), R.parse("y^2 - x")],
+                                 trace)
+    assert trace.last == "fallback" and trace.record[0] != old[0]
+
+
+def test_trace_replay_drops_cancelled_terms():
+    # 2*x and 2*y put x*y into the first S-polynomial twice, where it
+    # cancels: a monomial outside the record with coefficient 0 mod p
+    # is no mismatch
+    R = PolyRing(("x", "y", "z"), prime_field(32003))
+    trace = F4Trace()
+    assert_traced_run_is_full_f4([R.parse("x^2 + y + z"),
+                                  R.parse("x*y + y*z + 1")], trace)
+    assert_traced_run_is_full_f4([R.parse("x^2 + 2*x + y + z"),
+                                  R.parse("x*y + y*z + 2*y + 1")], trace)
+    assert trace.last == "replayed"
+
+
+def test_trace_keeps_its_record_without_a_full_run():
+    F = prime_field(32003)
+    R = PolyRing(("x", "y"), F)
+    trace = F4Trace()
+    buchberger([R.parse("x^2 + y"), R.parse("x*y - 1")], trace)
+    old = trace.record
+    # the main loop reaches the unit ideal: S = -x, then S = -1
+    assert buchberger([R.parse("x*y - 1"), R.parse("x^2")], trace).is_unit
+    assert trace.last == "fallback" and trace.record is old
+    # over Q a trace is neither used nor filled
+    Q = PolyRing(("x", "y"), QQ)
+    fresh = F4Trace()
+    gens = [Q.parse("x^2 + y"), Q.parse("x*y - 1")]
+    assert buchberger(gens, fresh) == buchberger(gens)
+    assert fresh.record is None and fresh.last is None

@@ -5,18 +5,22 @@ import os
 
 import pytest
 
+from satura.arith import prime_field
+from satura.groebner import F4Trace
 from satura.harness import (REFERENCE_VALUES, CellTable, TrialReport,
                             _resolve_timeout, default_threads, gi_table,
-                            hilbert_table, run_trials)
+                            hilbert_table, run_capped, run_trials)
 from satura.problems import (ProblemInstance, alt_system,
                              conics_affine_system, example_monomial_system,
                              get_problem)
+from satura.saturate import compute_gi, split_seed
 
 
 def strip_timing(report):
     d = report.to_dict()
     d.pop("wall_time")
     d.pop("time_stats")
+    d.pop("trace")  # one F4 trace per worker: its counts follow the workers
     return d
 
 
@@ -83,6 +87,19 @@ def test_timeout_bucket():
     assert rep.failures == 2
 
 
+def test_interrupted_learning_keeps_the_old_record():
+    # alt g5 takes about 2 s and reaches its main loop within about 11 ms:
+    # a 0.2 s cap stops it while it learns, and the g7 record stays
+    alt, field, trace = alt_system(), prime_field(32771), F4Trace()
+    compute_gi(alt, 7, field, 2024, trace)
+    old = trace.record
+    out = run_capped(lambda: compute_gi(alt, 5, field, 2024, trace), 0.2)
+    assert out.kind == "timeout" and trace.last == "fallback"
+    assert trace.record is old
+    assert compute_gi(alt, 7, field, split_seed(2024, 1), trace).value == 7
+    assert trace.last == "replayed"
+
+
 def test_auto_cap_starts_at_g6():
     # g5 takes 31-65 s on a 2-core box; a 60 s cap made its cell flip
     # between 234 and "-", so it stays uncapped like the smaller i
@@ -101,6 +118,18 @@ def test_report_serializations_agree():
     assert rows["successes"] == str(d["successes"])
     assert rows["histogram:5"] == str(d["histogram"]["5"])
     assert rows["reference"] == str(d["reference"])
+
+
+def test_trial_report_counts_trace_use():
+    # a serial batch keeps one F4 trace: the first basis learns it, the
+    # others replay it or, where a draw leaves it (at p = 251), fall back
+    for p, n, trace in ((32771, 6, {"fallback": 0, "learned": 1, "replayed": 5}),
+                        (251, 4, {"fallback": 2, "learned": 1, "replayed": 1})):
+        rep = run_trials(alt_system(), 6, p, n, seed=2024, threads=1)
+        assert rep.histogram == {"43": n}
+        assert rep.trace == trace and rep.to_dict()["trace"] == trace
+        rows = dict(csv.reader(io.StringIO(rep.to_csv())))
+        assert {k: int(rows[f"trace:{k}"]) for k in trace} == trace
 
 
 def test_gi_table_values_and_checkpoint(tmp_path):

@@ -8,8 +8,8 @@ import pytest
 
 from satura import groebner
 from satura.arith import QQ, prime_field
-from satura.groebner import (GroebnerBasis, NotZeroDimensional, buchberger,
-                             is_zero_dimensional, quotient_basis,
+from satura.groebner import (F4Trace, GroebnerBasis, NotZeroDimensional,
+                             buchberger, is_zero_dimensional, quotient_basis,
                              standard_monomials)
 from satura.poly import GREVLEX, LEX, DimensionMismatch, PolyRing, polys_to_json
 from satura.problems import (ProblemInstance, _space_parameterization,
@@ -328,6 +328,22 @@ def test_alt_cell_engine_counts(p):
             # every pair created was pruned or reduced
             assert st.pairs_created == (st.pairs_pruned_new
                                         + st.pairs_pruned_chain + spairs)
+
+
+@pytest.mark.parametrize("p", (32771, 1073741789))
+def test_alt_g6_replays_give_the_pinned_bases_and_counts(p):
+    # a trace learned at seed 2024 replays the two split seeds: the same
+    # bases and S-pair, zero-row and matrix counts as full F4
+    alt, field, trace = alt_system(), prime_field(p), F4Trace()
+    for k, seed in enumerate((2024, split_seed(2024, 1), split_seed(2024, 2))):
+        params = draw_parameters(6, alt.n, alt.r, field, seed)
+        gb = buchberger(build_saturated_system(alt, params).generators, trace)
+        assert trace.last == ("replayed" if k else "learned")
+        assert basis_digest(gb) == ALT_BASIS_DIGESTS[p][k][1]
+        st = gb.stats
+        assert (st.spairs_reduced, st.zero_reductions, st.matrices) == (162, 79, 24)
+        assert st.pairs_created == (st.pairs_pruned_new
+                                    + st.pairs_pruned_chain + 162)
 
 
 # the same digests of the conics g0..g5 bases over F_32003 at seed 2024
