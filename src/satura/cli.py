@@ -130,10 +130,7 @@ def _cmd_hilbert(args) -> int:
 
 
 def _cmd_jde(args) -> int:
-    if args.file is not None:
-        _, polys = _load_system(args.file, order_from_name(args.order))
-    else:
-        polys = list(_resolve_problem(args.problem, args.order).polys)
+    polys = list(_resolve_problem(args.problem, args.order).polys)
     dim, bound = jde_dimension(polys, args.d, args.e)
     _emit(json.dumps({"d": args.d, "e": args.e, "dim": dim, "bound": bound},
                      indent=2), args.out)
@@ -240,9 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = command("jde", _cmd_jde, "dimension of the degree-(d+e) reduction space J_d^e",
                 "--order --out")
-    src = g.add_mutually_exclusive_group(required=True)
-    src.add_argument("--file")
-    src.add_argument("--problem")
+    g.add_argument("--problem", required=True)
     g.add_argument("--d", type=int, required=True)
     g.add_argument("--e", type=int, required=True)
 

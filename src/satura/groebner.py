@@ -714,20 +714,19 @@ def _main_loop(inputs, codec: _Codec, mod, stats, key):
         cand = []
         for i in live:
             lcm_t = mono_lcm(lm_tuples[i], lt_tuple)
-            cand.append((i, codec.pack(lcm_t), sum(lcm_t)))
+            cand.append((sum(lcm_t), i, codec.pack(lcm_t)))
         stats.pairs_created += len(cand)
-        # new-pair pruning: drop strictly dominated lcms, keep one per class,
-        # and skip pairs with coprime leading monomials entirely
-        for idx, (i, L, dL) in enumerate(cand):
-            coprime = dL == sum(lm_tuples[i]) + deg_t
-            dominated = False
-            for jdx, (_, L2, _) in enumerate(cand):
-                if jdx == idx or sign * (L2 - L) & guards:
-                    continue
-                if L2 != L or jdx < idx:
-                    dominated = True
-                    break
-            if dominated or coprime:
+        # new-pair pruning, one pass by (lcm degree, index): drop an lcm
+        # that a kept one divides (by transitivity every dominated lcm has
+        # a kept divisor), keep the rest, and queue the non-coprime ones
+        kept = []
+        for dL, i, L in sorted(cand):
+            kL = sign * L
+            if any(not (k - kL) & guards for k in kept):
+                stats.pairs_pruned_new += 1
+                continue
+            kept.append(kL)
+            if dL == sum(lm_tuples[i]) + deg_t:
                 stats.pairs_pruned_new += 1
                 continue
             pairs[(i, t)] = (dL, L)
@@ -786,14 +785,15 @@ def _main_loop(inputs, codec: _Codec, mod, stats, key):
         else:
             new = [h for h in (_nf_packed(s, find, mod, guards)[0]
                                for s in spolys) if h]
+            for h in new:
+                _make_primitive(h)
             stats.spairs_reduced += 1
             stats.zero_reductions += not new
-        # largest leading monomial first (F4 returns them so): a later
-        # one that divides it drops it from the live set
+        # largest leading monomial first (F4 returns them so, monic): a
+        # later one that divides it drops it from the live set
         for h in new:
             if max(h) == one:
                 return None, None
-            _normalize(h, mod)
             add_generator(h)
         if learned is not None:
             # a replay drops the reducer records this matrix dropped, also

@@ -110,11 +110,20 @@ def build_saturated_system(f, params: SaturationParameters) -> SaturatedSystem:
     """Assemble < theta.x - 1, lambda.f, 1 - (mu.f) T > deterministically.
 
     T goes last so it is the least variable under grevlex and the
-    x-monomial order is undisturbed.
+    x-monomial order is undisturbed.  Over F_p, p must be at least 5
+    and exceed every coefficient magnitude of f, so that reducing f
+    mod p keeps the system intact; else PrimeTooSmall.
     """
     n, r = f.n, f.r
     params.check_shape(n, r)
-    ring = f.ring.with_field(field_from_descriptor(params.field))
+    field = field_from_descriptor(params.field)
+    if field.p is not None:
+        bound = max([4] + [abs(c) for g in f.polys for _, c in g.terms])
+        if field.p <= bound:
+            raise PrimeTooSmall(
+                f"p = {field.p} must be at least 5 and exceed the largest "
+                f"coefficient magnitude {bound}")
+    ring = f.ring.with_field(field)
     if params.mu is not None:
         ring = ring.extend("T")
     polys = [ring.coerce(g) for g in f.polys]
@@ -138,25 +147,6 @@ class GiResult:
     unit: bool = False  # value 0 realized as the unit ideal
 
 
-def max_coefficient_magnitude(polys) -> Fraction:
-    m = Fraction(0)
-    for f in polys:
-        for _, c in f.terms:
-            a = abs(c)
-            if a > m:
-                m = a
-    return m
-
-
-def _check_prime_size(field, polys) -> None:
-    if field.p is not None:
-        bound = max(Fraction(4), max_coefficient_magnitude(polys))
-        if field.p <= bound:
-            raise PrimeTooSmall(
-                f"p = {field.p} must be at least 5 and exceed the largest "
-                f"coefficient magnitude {bound}")
-
-
 def compute_gi(f, i: int, field, seed: int, trace=None) -> GiResult:
     """One randomized g_i evaluation.
 
@@ -166,7 +156,6 @@ def compute_gi(f, i: int, field, seed: int, trace=None) -> GiResult:
     `groebner.F4Trace` lets draws of one batch over F_p replay one
     learned F4 run; the result is the same with or without it.
     """
-    _check_prime_size(field, f.polys)
     params = draw_parameters(i, f.n, f.r, field, seed)
     system = build_saturated_system(f, params)
     start = time.perf_counter()

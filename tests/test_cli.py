@@ -5,11 +5,12 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import satura
-from satura import cli
+from satura import cli, harness
 from satura.cli import main
 
 pytestmark = pytest.mark.usefixtures("capsys")
@@ -97,7 +98,9 @@ def test_gi_single_csv_is_one_row(capsys):
     assert (row["i"], row["prime"], row["value"]) == ("1", "32003", "5")
 
 
-def test_csv_on_stdout_equals_out_file(capsys, tmp_path):
+def test_csv_on_stdout_equals_out_file(capsys, tmp_path, monkeypatch):
+    # the two runs' "elapsed" columns agree only on a stopped clock
+    monkeypatch.setattr(harness, "time", SimpleNamespace(perf_counter=lambda: 0.0))
     query = ("gi", "--problem", "monomial", "--i", "1", "--prime", "32003",
              "--format", "csv")
     _, out, _ = run(capsys, *query)
@@ -206,11 +209,13 @@ def test_jde_problem_and_file(capsys, tmp_path):
     assert json.loads(out) == {"d": 2, "e": 0, "dim": 0, "bound": 28}
     path = tmp_path / "sys.json"
     run(capsys, "problems", "export", "--name", "monomial", "--out", str(path))
-    code, out, _ = run(capsys, "jde", "--file", str(path), "--d", "1", "--e", "0")
+    code, out, _ = run(capsys, "jde", "--problem", f"file:{path}", "--d", "1",
+                       "--e", "0")
     assert code == 0 and json.loads(out)["bound"] == 1
 
 
 def test_jde_needs_exactly_one_source(capsys):
+    # --problem is the one source: without it, or with --file, jde exits 2
     for extra in ((), ("--file", "sys.json", "--problem", "monomial")):
         with pytest.raises(SystemExit) as exc:
             main(["jde", "--d", "1", "--e", "1", *extra])
@@ -339,7 +344,8 @@ def test_gb_refuses_polynomials_and_terms_that_are_not_lists_exit_2(capsys, tmp_
 
 def test_jde_and_emit_cert_refuse_malformed_input_exit_2(capsys, tmp_path):
     path = write_system(tmp_path, "Fp:7", "1/7")
-    code, out, err = run(capsys, "jde", "--file", path, "--d", "1", "--e", "0")
+    code, out, err = run(capsys, "jde", "--problem", f"file:{path}", "--d", "1",
+                         "--e", "0")
     assert code == 2 and "'1/7'" in err and out == ""
     pts_path = tmp_path / "pts.json"
     pts_path.write_text(json.dumps([[1, 1]]))
@@ -418,13 +424,19 @@ def test_bad_prime_exits_2_before_any_cell(capsys, tmp_path, command, extra, pri
 
 
 def test_prime_too_small_for_the_system_is_an_error_cell(capsys):
-    # 3 is prime, so it passes --prime; the monomial system needs p >= 5
-    code, out, _ = run(capsys, "gi", "--problem", "monomial", "--i", "1",
-                       "--prime", "3")
-    cell, = json.loads(out)["cells"]
-    assert code == 3
-    assert cell["value"] == "-" and cell["outcome"] == "error"
-    assert "must be at least 5" in cell["message"]
+    # 3 is prime, so it passes --prime; the monomial system needs p >= 5,
+    # and alt's coefficient 4 is 1 mod 3: gi and hilbert both refuse the
+    # cell rather than count another system
+    for command, problem, i in (("gi", "monomial", "1"), ("gi", "alt", "7"),
+                                ("hilbert", "alt", "7")):
+        code, out, _ = run(capsys, command, "--problem", problem, "--i", i,
+                           "--prime", "3")
+        cell, = json.loads(out)["cells"]
+        assert code == 3
+        assert cell["value"] == "-" and cell["outcome"] == "error"
+        assert "must be at least 5" in cell["message"]
+    assert cell["message"] == ("p = 3 must be at least 5 and exceed the "
+                               "largest coefficient magnitude 4")
 
 
 # what each subcommand needs to get past argparse's required arguments

@@ -206,6 +206,14 @@ def test_hilbert_table_rows():
         assert cell["stabilized_at"] is not None
 
 
+def test_hilbert_table_refuses_a_prime_too_small_for_the_system():
+    # reduced mod 3, alt's coefficient 4 becomes 1: another system
+    cell, = hilbert_table(alt_system(), [7], 3, 8, seed=2024).cells
+    assert cell["value"] == "-" and cell["outcome"] == "error"
+    assert cell["message"] == ("p = 3 must be at least 5 and exceed the "
+                               "largest coefficient magnitude 4")
+
+
 def test_hilbert_table_timeout():
     table = hilbert_table(alt_system(), [5], 32771, 8, seed=1, timeout_s=0.02)
     assert table.cells[0]["value"] == "-"

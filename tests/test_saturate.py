@@ -152,6 +152,17 @@ def test_prime_too_small():
     with pytest.raises(PrimeTooSmall):
         compute_gi(inst, 1, prime_field(3), 1)
     assert compute_gi(inst, 1, prime_field(5), 1).value >= 0
+    # the gate sits where f is reduced mod p, so every caller gets it
+    alt = alt_system()
+    params = draw_parameters(7, alt.n, alt.r, prime_field(3), 2024)
+    with pytest.raises(PrimeTooSmall, match="^p = 3 must be at least 5 and "
+                       "exceed the largest coefficient magnitude 4$"):
+        build_saturated_system(alt, params)
+    # 5 exceeds 4, and a draw over Q needs no gate
+    params = draw_parameters(7, alt.n, alt.r, prime_field(5), 2024)
+    assert build_saturated_system(alt, params).generators
+    params = draw_parameters(7, alt.n, alt.r, QQ, 2024)
+    assert build_saturated_system(alt, params).generators
 
 
 def test_degenerate_draw_detected():
@@ -314,8 +325,9 @@ def test_alt_cell_engine_counts(p):
     # linear generators set aside, variables left)
     alt, field = alt_system(), prime_field(p)
     for k, seed in enumerate((2024, split_seed(2024, 1), split_seed(2024, 2))):
-        for i, spairs, zero, matrices, linear, nvars in ((7, 14, 4, 11, 7, 2),
-                                                         (6, 162, 79, 24, 6, 3)):
+        for i, spairs, zero, matrices, linear, nvars, pairs in (
+                (7, 14, 4, 11, 7, 2, (25, 10, 1)),
+                (6, 162, 79, 24, 6, 3, (1260, 1059, 39))):
             params = draw_parameters(i, alt.n, alt.r, field, seed)
             gb = buchberger(build_saturated_system(alt, params).generators)
             assert basis_digest(gb) == ALT_BASIS_DIGESTS[p][k][7 - i]
@@ -325,7 +337,10 @@ def test_alt_cell_engine_counts(p):
             assert st.matrix_rows > spairs and st.matrix_columns > 0
             assert (st.linear_set_aside, st.reduced_nvars) == (linear, nvars)
             assert st.width == 8
-            # every pair created was pruned or reduced
+            # pairs created, pruned by the new-pair criteria, by the chain
+            # criterion; every pair created was pruned or reduced
+            assert (st.pairs_created, st.pairs_pruned_new,
+                    st.pairs_pruned_chain) == pairs
             assert st.pairs_created == (st.pairs_pruned_new
                                         + st.pairs_pruned_chain + spairs)
 
