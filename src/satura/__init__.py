@@ -10,8 +10,9 @@ from .arith import QQ, PrimeField, RationalField, field_from_descriptor, prime_f
 from .poly import (GREVLEX, LEX, PolyRing, Polynomial, monomials_up_to_degree,
                    order_from_name, parse_polynomial, polys_from_json,
                    polys_to_json, print_polynomial)
-from .groebner import (GroebnerBasis, buchberger, ideal_degree, normal_form,
-                       quotient_basis, s_polynomial, verify_groebner)
+from .groebner import (GroebnerBasis, LeadingIdeal, buchberger, ideal_degree,
+                       leading_ideal, normal_form, quotient_basis,
+                       s_polynomial, verify_groebner)
 from .problems import (ProblemInstance, alt_system, conics_affine_system,
                        conics_pstar_system, example_monomial_system,
                        get_problem, verify_base_locus)

@@ -56,6 +56,10 @@ set aside, and the main loop runs on the other generators, packed in
 the remaining variables.  Their final interreduction runs there too;
 after lifting, only the tails of the set-aside generators are reduced
 by them, since no term of theirs contains an eliminated variable.
+`leading_ideal` runs the same steps up to the end of the main loop and
+stops there: the live leading monomials and the set-aside linear ones
+are those of the reduced basis, and g_i, Hilbert functions and the
+other counts of standard monomials read nothing else.
 
 Draws of one batch often run the same F4 computation with other
 coefficients.  An `F4Trace` records a full F_p run matrix by matrix
@@ -509,6 +513,32 @@ class GroebnerBasis:
         return f"GroebnerBasis({len(self.generators)} generators, {self.ring!r})"
 
 
+class LeadingIdeal:
+    """The minimal generators of a leading ideal, as exponent tuples in
+    ascending order: what `standard_monomials` and the counts built on it
+    read of a `GroebnerBasis`.  `stats` is the `GroebnerStats` of the
+    `leading_ideal` call that built it.
+    """
+
+    __slots__ = ("ring", "leading_monomials", "stats")
+
+    def __init__(self, ring: PolyRing, leading_monomials: tuple, stats=None):
+        self.ring = ring
+        self.leading_monomials = leading_monomials
+        self.stats = stats
+
+    @property
+    def is_unit(self) -> bool:
+        lms = self.leading_monomials
+        return len(lms) == 1 and not any(lms[0])
+
+    def __len__(self):
+        return len(self.leading_monomials)
+
+    def __repr__(self):
+        return f"LeadingIdeal({len(self)} generators, {self.ring!r})"
+
+
 def normal_form(f: Polynomial, basis) -> Polynomial:
     """Remainder of f on division by the given polynomials (full reduction).
 
@@ -570,6 +600,21 @@ def buchberger(gens, trace=None) -> GroebnerBasis:
     fits and learns from a full run where it does not.
     Raises OverflowError when an exponent passes 2^15 - 1.
     """
+    return _run(gens, trace, _reduced_basis)
+
+
+def leading_ideal(gens, trace=None) -> LeadingIdeal:
+    """The minimal generators of the leading ideal of gens: the leading
+    monomials of `buchberger(gens, trace)`, in the same order, with the
+    same stats, got from the same main loop without the final
+    interreduction.  A trace serves and learns as in `buchberger`.
+    """
+    return _run(gens, trace, _leads)
+
+
+def _run(gens, trace, finish):
+    """finish(ring, stats, main) after `_main_phase`, first with 8-bit
+    exponent fields and on OverflowError again with 16-bit ones."""
     gens = list(gens)
     if not gens:
         raise ValueError("empty generator list")
@@ -580,14 +625,32 @@ def buchberger(gens, trace=None) -> GroebnerBasis:
     if trace is not None:
         trace.last = None
     try:
-        return _buchberger(gens, ring, 8, trace)
+        return _at_width(gens, ring, 8, trace, finish)
     except OverflowError:
         pass  # rerun outside the handler: an overflow at 16 bits raises alone
-    return _buchberger(gens, ring, 16, trace)
+    return _at_width(gens, ring, 16, trace, finish)
 
 
-def _buchberger(gens, ring: PolyRing, width: int, trace) -> GroebnerBasis:
-    """`buchberger` with exponent fields width bits wide."""
+def _at_width(gens, ring: PolyRing, width: int, trace, finish):
+    """One `_run` attempt; a learned F4 record goes to the trace only once
+    finish has returned."""
+    stats, main, record = _main_phase(gens, ring, width, trace)
+    result = finish(ring, stats, main)
+    if record is not None:
+        trace.record = record
+    return result
+
+
+def _main_phase(gens, ring: PolyRing, width: int, trace):
+    """Substitution, set-aside and the main loop (or a trace replay) with
+    exponent fields width bits wide.
+
+    Returns (stats, main, record).  main is None for the unit ideal, else
+    (live, linear, keep, codec): the live generators at the end of the
+    main loop, packed by codec in the variables keep, and the set-aside
+    linear generators, packed in all variables.  record is the F4 record
+    a full run learned for the trace, else None.
+    """
     mod = ring.field.p
     n, order = ring.nvars, ring.order.name
     full = _codec(n, order, width)
@@ -595,7 +658,7 @@ def _buchberger(gens, ring: PolyRing, width: int, trace) -> GroebnerBasis:
 
     work = [_to_packed(g, full) for g in gens if not g.is_zero()]
     if not work:
-        return GroebnerBasis(ring, (), stats)
+        return stats, ([], [], (), full), None
     for d in work:
         _normalize(d, mod)
 
@@ -604,18 +667,18 @@ def _buchberger(gens, ring: PolyRing, width: int, trace) -> GroebnerBasis:
     linear, rest = _split_linear(work, full)
     linear = _autoreduce(linear, mod, full)
     if any(max(d) == full.one for d in linear):
-        return GroebnerBasis(ring, (ring.one(),), stats)
+        return stats, None, None
     rest = [_substitute(d, linear, mod, full) for d in rest]
     work = _autoreduce(linear + [d for d in rest if d], mod, full)
     if any(max(d) == full.one for d in work):
-        return GroebnerBasis(ring, (ring.one(),), stats)
+        return stats, None, None
 
     # Full autoreduction leaves the leading variable of a linear generator
     # in no other generator, so all its pairs are coprime: the main loop
     # runs on the rest, packed in the variables they can contain.
     linear, rest = _split_linear(work, full)
     gone = {full.unpack(max(d)).index(1) for d in linear}
-    keep = [j for j in range(n) if j not in gone]
+    keep = tuple(j for j in range(n) if j not in gone)
     codec = _codec(len(keep), order, width)
     stats.linear_set_aside, stats.reduced_nvars = len(linear), len(keep)
     inputs = []
@@ -630,7 +693,7 @@ def _buchberger(gens, ring: PolyRing, width: int, trace) -> GroebnerBasis:
     # from the same leading monomials, else run in full and record
     key = live = record = None
     if trace is not None and mod:
-        key = (order, width, tuple(keep), tuple(max(d) for d in inputs))
+        key = (order, width, keep, tuple(max(d) for d in inputs))
         old = trace.record
         if old is not None and old[0] == key:
             counted = replace(stats)
@@ -643,29 +706,55 @@ def _buchberger(gens, ring: PolyRing, width: int, trace) -> GroebnerBasis:
     if live is None:
         live, record = _main_loop(inputs, codec, mod, stats, key)
         if live is None:
-            return GroebnerBasis(ring, (ring.one(),), stats)
+            return stats, None, None
+    return stats, (live, linear, keep, codec), record
 
+
+def _lift(p: int, keep, codec: _Codec, full: _Codec) -> int:
+    """codec's packed monomial p in the variables keep, packed by full in
+    all variables."""
+    e = [0] * full.n
+    for j, x in zip(keep, codec.unpack(p)):
+        e[j] = x
+    return full.pack(e)
+
+
+def _reduced_basis(ring: PolyRing, stats, main) -> GroebnerBasis:
+    """`buchberger`'s second half: the reduced basis from `_main_phase`."""
+    if main is None:
+        return GroebnerBasis(ring, (ring.one(),), stats)
+    live, linear, keep, codec = main
+    mod = ring.field.p
+    full = _codec(ring.nvars, ring.order.name, stats.width)
     # interreduce the live generators in the remaining variables and lift
     # them back to all; their terms hold no leading variable of a linear
     # generator, so only the linear generators' tails need reducing
-    final = []
-    for d in _autoreduce(sorted(live, key=max), mod, codec):
-        lifted = {}
-        for p, c in d.items():
-            e = [0] * n
-            for j, x in zip(keep, codec.unpack(p)):
-                e[j] = x
-            lifted[full.pack(e)] = c
-        final.append(lifted)
+    final = [{_lift(p, keep, codec, full): c for p, c in d.items()}
+             for d in _autoreduce(sorted(live, key=max), mod, codec)]
     find = _scan([_prepare(h, mod) for h in final], full)
     final += [_nf_packed(d, find, mod, full.guards)[0] for d in linear]
     for h in final:
         _monic(h, mod)
     final.sort(key=max)
-    if record is not None:
-        trace.record = record
     return GroebnerBasis(
         ring, tuple(_from_packed(h, full, ring) for h in final), stats)
+
+
+def _leads(ring: PolyRing, stats, main) -> LeadingIdeal:
+    """`leading_ideal`'s second half.  The live leads form an antichain
+    (a new generator's lead is divisible by no live lead, and a live
+    generator leaves when a new lead divides its own), and no live term
+    holds a set-aside leading variable, so these are the leads of the
+    reduced basis."""
+    n = ring.nvars
+    if main is None:
+        return LeadingIdeal(ring, ((0,) * n,), stats)
+    live, linear, keep, codec = main
+    full = _codec(n, ring.order.name, stats.width)
+    leads = [max(d) for d in linear]
+    leads += [_lift(max(d), keep, codec, full) for d in live]
+    return LeadingIdeal(ring, tuple(full.unpack(p) for p in sorted(leads)),
+                        stats)
 
 
 def _main_loop(inputs, codec: _Codec, mod, stats, key):
@@ -881,13 +970,14 @@ def _autoreduce(work, mod, codec: _Codec):
     return [d for d in work if d is not None]
 
 
-def is_zero_dimensional(basis: GroebnerBasis) -> bool:
-    """Finite quotient test: every variable shows up as a pure leading power."""
-    if not basis.generators:
+def is_zero_dimensional(basis) -> bool:
+    """Finite quotient test on a `GroebnerBasis` or a `LeadingIdeal`:
+    every variable shows up as a pure leading power."""
+    lms = basis.leading_monomials
+    if not lms:
         return False
-    n = basis.ring.nvars
-    seen = [False] * n
-    for m in basis.leading_monomials:
+    seen = [False] * basis.ring.nvars
+    for m in lms:
         support = [i for i, e in enumerate(m) if e]
         if not support:
             return True  # unit ideal
@@ -896,10 +986,10 @@ def is_zero_dimensional(basis: GroebnerBasis) -> bool:
     return all(seen)
 
 
-def standard_monomials(basis: GroebnerBasis, d_max) -> list:
-    """Exponent tuples outside the leading-term ideal, of total degree at
-    most d_max; d_max None lifts the cap, which needs a zero-dimensional
-    basis to terminate.
+def standard_monomials(basis, d_max) -> list:
+    """Exponent tuples outside the leading-term ideal of a `GroebnerBasis`
+    or a `LeadingIdeal`, of total degree at most d_max; d_max None lifts
+    the cap, which needs a zero-dimensional basis to terminate.
 
     Standard monomials form a downward-closed set, so the depth-first
     search prunes a whole subtree as soon as one leading monomial divides
@@ -937,18 +1027,24 @@ def standard_monomials(basis: GroebnerBasis, d_max) -> list:
     return found
 
 
-def quotient_basis(basis: GroebnerBasis) -> list:
-    """Standard monomials (exponent tuples, ascending order) of a
-    zero-dimensional ideal; these span the quotient as a vector space."""
+def _all_standard_monomials(basis) -> list:
     if not is_zero_dimensional(basis):
         raise NotZeroDimensional(
             "the leading-term ideal lacks a pure power in some variable")
-    return sorted(standard_monomials(basis, None), key=basis.ring.key)
+    return standard_monomials(basis, None)
 
 
-def ideal_degree(basis: GroebnerBasis) -> int:
-    """Vector-space dimension of the quotient ring; 0 for the unit ideal."""
-    return len(quotient_basis(basis))
+def quotient_basis(basis) -> list:
+    """Standard monomials (exponent tuples, ascending order) of a
+    zero-dimensional `GroebnerBasis` or `LeadingIdeal`; these span the
+    quotient as a vector space."""
+    return sorted(_all_standard_monomials(basis), key=basis.ring.key)
+
+
+def ideal_degree(basis) -> int:
+    """Vector-space dimension of the quotient ring of a `GroebnerBasis` or
+    a `LeadingIdeal`; 0 for the unit ideal."""
+    return len(_all_standard_monomials(basis))
 
 
 def verify_groebner(basis, gens=None) -> bool:

@@ -18,7 +18,7 @@ from math import comb, gcd
 from typing import Optional
 
 from .arith import PackedEchelon, primitive_scale
-from .groebner import GroebnerBasis, standard_monomials
+from .groebner import standard_monomials
 from .poly import (PolyRing, evaluate_monomials, exact_degree_monomials,
                    mono_mul, monomials_up_to_degree, polys_to_json)
 
@@ -56,8 +56,9 @@ def require_degree_compatible(ring: PolyRing) -> None:
             f"{ring.order.name} does not refine total degree")
 
 
-def affine_hilbert_function(basis: GroebnerBasis, d_max: int) -> HilbertProfile:
-    """HF(d) for d in [0, d_max], with plateau detection.
+def affine_hilbert_function(basis, d_max: int) -> HilbertProfile:
+    """HF(d) for d in [0, d_max], with plateau detection, from a
+    `GroebnerBasis` or a `LeadingIdeal`.
 
     A plateau is definitive: a standard monomial of degree d+1 has a
     standard divisor of degree d, so one flat step means flat forever.

@@ -13,12 +13,12 @@ reproducible from the 64-bit seed.
 
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from typing import Optional
 
 from .arith import field_from_descriptor, prime_field, primitive_scale
-from .groebner import buchberger, quotient_basis
+from .groebner import GroebnerStats, ideal_degree, leading_ideal
 from .poly import Polynomial
 
 
@@ -145,6 +145,8 @@ class GiResult:
     elapsed: float
     basis_size: int
     unit: bool = False  # value 0 realized as the unit ideal
+    # what the main loop did; not part of equality or hashing
+    stats: Optional[GroebnerStats] = dataclass_field(default=None, compare=False)
 
 
 def compute_gi(f, i: int, field, seed: int, trace=None) -> GiResult:
@@ -159,11 +161,11 @@ def compute_gi(f, i: int, field, seed: int, trace=None) -> GiResult:
     params = draw_parameters(i, f.n, f.r, field, seed)
     system = build_saturated_system(f, params)
     start = time.perf_counter()
-    basis = buchberger(system.generators, trace)
-    value = len(quotient_basis(basis))
+    ideal = leading_ideal(system.generators, trace)
+    value = ideal_degree(ideal)
     elapsed = time.perf_counter() - start
     return GiResult(value, i, field.descriptor, params, elapsed,
-                    len(basis), basis.is_unit)
+                    len(ideal), ideal.is_unit, ideal.stats)
 
 
 def integer_primitive(f: Polynomial) -> Polynomial:
@@ -217,8 +219,8 @@ def lm_agreement_test(f, i: int, params: SaturationParameters, p: int,
         if gp.is_zero():
             raise GeneratorVanishesModP(f"{g} is 0 mod {p}")
         gens_p.append(gp)
-    lm_q = set(buchberger(prim).leading_monomials)
-    lm_p = set(buchberger(gens_p).leading_monomials)
+    lm_q = set(leading_ideal(prim).leading_monomials)
+    lm_p = set(leading_ideal(gens_p).leading_monomials)
     diff = lm_q ^ lm_p
     witness = min(diff, key=system.ring.key) if diff else None
     return AgreementResult(not diff, p, witness,
