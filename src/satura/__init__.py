@@ -18,7 +18,8 @@ from .problems import (ProblemInstance, alt_system, conics_affine_system,
                        get_problem, verify_base_locus)
 from .saturate import (SaturationParameters, build_saturated_system,
                        compute_gi, degree_profile, draw_parameters,
-                       integer_primitive, lm_agreement_test, split_seed)
+                       integer_primitive, lm_agreement_test,
+                       saturated_leading_ideal, split_seed)
 from .hilbert import (affine_hilbert_function, emit_certification_system,
                       find_points_bruteforce, jde_dimension, veronese_matrix,
                       veronese_rank_lower_bound)

@@ -60,6 +60,9 @@ by them, since no term of theirs contains an eliminated variable.
 stops there: the live leading monomials and the set-aside linear ones
 are those of the reduced basis, and g_i, Hilbert functions and the
 other counts of standard monomials read nothing else.
+`packed_leading_ideal` takes the generators already packed, at each
+width tried, and runs the same steps: `saturate` counts g_i without
+building a `Polynomial`.
 
 Draws of one batch often run the same F4 computation with other
 coefficients.  An `F4Trace` records a full F_p run matrix by matrix
@@ -354,8 +357,10 @@ def _substitute(d: dict, linear, mod, codec: _Codec) -> dict:
             continue
         acc = parts[top]
         for j in range(top - 1, -1, -1):
-            scale = a ** (top - j)
-            nxt = {m: c * scale for m, c in parts.get(j, {}).items()}
+            nxt = parts.get(j, {})
+            if a != 1:
+                scale = a ** (top - j)
+                nxt = {m: c * scale for m, c in nxt.items()}
             for m, c in acc.items():
                 for dm, dc in times:
                     mm = m + dm
@@ -367,12 +372,10 @@ def _substitute(d: dict, linear, mod, codec: _Codec) -> dict:
                     else:
                         nxt[mm] = old + c * dc
             acc = nxt
-        d = {}
-        for m, c in acc.items():
-            if mod:
-                c %= mod
-            if c:
-                d[m] = c
+        if mod:
+            d = {m: r for m, c in acc.items() if (r := c % mod)}
+        else:
+            d = {m: c for m, c in acc.items() if c}
     if d:
         _normalize(d, mod)
     return d
@@ -600,7 +603,7 @@ def buchberger(gens, trace=None) -> GroebnerBasis:
     fits and learns from a full run where it does not.
     Raises OverflowError when an exponent passes 2^15 - 1.
     """
-    return _run(gens, trace, _reduced_basis)
+    return _run(*_packer(gens), trace, _reduced_basis)
 
 
 def leading_ideal(gens, trace=None) -> LeadingIdeal:
@@ -609,12 +612,32 @@ def leading_ideal(gens, trace=None) -> LeadingIdeal:
     same stats, got from the same main loop without the final
     interreduction.  A trace serves and learns as in `buchberger`.
     """
-    return _run(gens, trace, _leads)
+    return _run(*_packer(gens), trace, _leads)
 
 
-def _run(gens, trace, finish):
-    """finish(ring, stats, main) after `_main_phase`, first with 8-bit
-    exponent fields and on OverflowError again with 16-bit ones."""
+def packed_leading_ideal(ring: PolyRing, pack, trace=None) -> LeadingIdeal:
+    """`leading_ideal` of generators that the caller packs itself.
+
+    pack(codec) returns them, in order, as term dicts {codec.pack(e): c}
+    with canonical coefficients of ring's field, an empty dict for a zero
+    generator; codec packs ring's variables in its order, and pack is
+    called once per exponent width tried.  `unpack_generators(ring,
+    pack)` are the polynomials this reads, so the result equals
+    `leading_ideal` of them, stats and trace included.
+    """
+    return _run(ring, pack, trace, _leads)
+
+
+def unpack_generators(ring: PolyRing, pack) -> tuple:
+    """The polynomials of ring that pack (as in `packed_leading_ideal`)
+    gives with 16-bit exponent fields, sorted by the packed monomials.
+    Raises OverflowError when an exponent passes 2^15 - 1."""
+    codec = _codec_for(ring)
+    return tuple(_from_packed(d, codec, ring) for d in pack(codec))
+
+
+def _packer(gens):
+    """(ring, pack) of a list of polynomials of one ring."""
     gens = list(gens)
     if not gens:
         raise ValueError("empty generator list")
@@ -622,28 +645,46 @@ def _run(gens, trace, finish):
     for g in gens:
         if g.ring != ring:
             raise ValueError("generators from different rings")
+    return ring, lambda codec: [_to_packed(g, codec) for g in gens]
+
+
+def _run(ring: PolyRing, pack, trace, finish):
+    """finish(ring, stats, main) after `_main_phase`, first with 8-bit
+    exponent fields and on OverflowError again with 16-bit ones."""
     if trace is not None:
         trace.last = None
     try:
-        return _at_width(gens, ring, 8, trace, finish)
+        return _at_width(ring, pack, 8, trace, finish)
     except OverflowError:
         pass  # rerun outside the handler: an overflow at 16 bits raises alone
-    return _at_width(gens, ring, 16, trace, finish)
+    return _at_width(ring, pack, 16, trace, finish)
 
 
-def _at_width(gens, ring: PolyRing, width: int, trace, finish):
+def _at_width(ring: PolyRing, pack, width: int, trace, finish):
     """One `_run` attempt; a learned F4 record goes to the trace only once
     finish has returned."""
-    stats, main, record = _main_phase(gens, ring, width, trace)
+    stats, main, record = _main_phase(pack, ring, width, trace)
     result = finish(ring, stats, main)
     if record is not None:
         trace.record = record
     return result
 
 
-def _main_phase(gens, ring: PolyRing, width: int, trace):
-    """Substitution, set-aside and the main loop (or a trace replay) with
-    exponent fields width bits wide.
+def _slice(work, mod, full: _Codec):
+    """Gauss-Jordan on the linear inputs, then the others' normal forms by
+    them, by substitution, in input order.  Returns (linear, substituted),
+    with an empty dict for each input that vanishes, or None when the
+    linear inputs generate the unit ideal."""
+    linear, rest = _split_linear(work, full)
+    linear = _autoreduce(linear, mod, full)
+    if any(max(d) == full.one for d in linear):
+        return None
+    return linear, [_substitute(d, linear, mod, full) for d in rest]
+
+
+def _main_phase(pack, ring: PolyRing, width: int, trace):
+    """Substitution, set-aside and the main loop (or a trace replay) on
+    pack's generators with exponent fields width bits wide.
 
     Returns (stats, main, record).  main is None for the unit ideal, else
     (live, linear, keep, codec): the live generators at the end of the
@@ -656,19 +697,15 @@ def _main_phase(gens, ring: PolyRing, width: int, trace):
     full = _codec(n, order, width)
     stats = GroebnerStats(width=width)
 
-    work = [_to_packed(g, full) for g in gens if not g.is_zero()]
+    work = [d for d in pack(full) if d]
     if not work:
         return stats, ([], [], (), full), None
     for d in work:
         _normalize(d, mod)
-
-    # Gauss-Jordan on the linear inputs, then the others' normal forms by
-    # them, by substitution, in input order
-    linear, rest = _split_linear(work, full)
-    linear = _autoreduce(linear, mod, full)
-    if any(max(d) == full.one for d in linear):
+    sliced = _slice(work, mod, full)
+    if sliced is None:
         return stats, None, None
-    rest = [_substitute(d, linear, mod, full) for d in rest]
+    linear, rest = sliced
     work = _autoreduce(linear + [d for d in rest if d], mod, full)
     if any(max(d) == full.one for d in work):
         return stats, None, None

@@ -21,10 +21,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .arith import prime_field
-from .groebner import F4Trace, NotZeroDimensional, leading_ideal
+from .groebner import F4Trace, NotZeroDimensional
 from .hilbert import affine_hilbert_function, require_degree_compatible
 from .poly import polys_to_json
-from .saturate import build_saturated_system, compute_gi, draw_parameters, split_seed
+from .saturate import (compute_gi, draw_parameters, saturated_leading_ideal,
+                       split_seed)
 
 SCHEMA_VERSION = 1
 
@@ -398,8 +399,8 @@ def hilbert_table(problem, i_list, p: int, d_max: int, seed: int,
 
     def row(i, p, cell_seed):
         params = draw_parameters(i, problem.n, problem.r, prime_field(p), cell_seed)
-        ideal = leading_ideal(build_saturated_system(problem, params).generators)
-        prof = affine_hilbert_function(ideal, d_max)
+        prof = affine_hilbert_function(saturated_leading_ideal(problem, params),
+                                       d_max)
         return {"value": list(prof.row()), "stabilized_at": prof.stabilized_at,
                 "stable_value": prof.stable_value}
 

@@ -18,7 +18,8 @@ from fractions import Fraction
 from typing import Optional
 
 from .arith import field_from_descriptor, prime_field, primitive_scale
-from .groebner import GroebnerStats, ideal_degree, leading_ideal
+from .groebner import (GroebnerStats, LeadingIdeal, ideal_degree, leading_ideal,
+                       packed_leading_ideal, unpack_generators)
 from .poly import Polynomial
 
 
@@ -112,28 +113,72 @@ def build_saturated_system(f, params: SaturationParameters) -> SaturatedSystem:
     T goes last so it is the least variable under grevlex and the
     x-monomial order is undisturbed.  Over F_p, p must be at least 5
     and exceed every coefficient magnitude of f, so that reducing f
-    mod p keeps the system intact; else PrimeTooSmall.
+    mod p keeps the system intact; else PrimeTooSmall.  This is the
+    system `saturated_leading_ideal` reads, as polynomials; an exponent
+    of f above 2^15 - 1 raises OverflowError, as in the engine.
     """
+    ring, pack = _saturated(f, params)
+    return SaturatedSystem(unpack_generators(ring, pack), params, f)
+
+
+def saturated_leading_ideal(f, params: SaturationParameters,
+                            trace=None) -> LeadingIdeal:
+    """leading_ideal(build_saturated_system(f, params).generators, trace),
+    with the system built as packed term dicts and no polynomial."""
+    return packed_leading_ideal(*_saturated(f, params), trace)
+
+
+def _saturated(f, params: SaturationParameters):
+    """(ring, pack) of the saturated system, as `packed_leading_ideal`
+    takes them: pack(codec) packs f at codec's width and combines the
+    packed terms with the drawn rows."""
     n, r = f.n, f.r
     params.check_shape(n, r)
     field = field_from_descriptor(params.field)
-    if field.p is not None:
+    mod = field.p
+    if mod is not None:
         bound = max([4] + [abs(c) for g in f.polys for _, c in g.terms])
-        if field.p <= bound:
+        if mod <= bound:
             raise PrimeTooSmall(
-                f"p = {field.p} must be at least 5 and exceed the largest "
+                f"p = {mod} must be at least 5 and exceed the largest "
                 f"coefficient magnitude {bound}")
     ring = f.ring.with_field(field)
     if params.mu is not None:
         ring = ring.extend("T")
-    polys = [ring.coerce(g) for g in f.polys]
-    affine = ring.gens()[:n] + [ring.one()]
-    gens = [ring.combine((*row, -1), affine) for row in params.theta]
-    gens += [ring.combine(row, polys) for row in params.lam]
-    if params.mu is not None:
-        h = ring.combine(params.mu, polys)
-        gens.append(ring.one() - h * ring.var("T"))
-    return SaturatedSystem(tuple(gens), params, f)
+    element, one, minus_one = field.element, field.one, field.element(-1)
+    units = [tuple(int(k == j) for k in range(ring.nvars))
+             for j in range(ring.nvars)]
+    pad = (0,) * (ring.nvars - n)
+    polys = [[(m + pad, element(c)) for m, c in g.terms] for g in f.polys]
+    theta = [[element(c) for c in row] + [minus_one] for row in params.theta]
+    lam = [[element(c) for c in row] for row in params.lam]
+    mu = None if params.mu is None else [element(c) for c in params.mu]
+
+    def pack(codec):
+        const = [(codec.one, one)]
+        affine = [[(codec.pack(m), one)] for m in units[:n]] + [const]
+        fs = [[(codec.pack(m), c) for m, c in g] for g in polys]
+        gens = [_combine(row, affine, mod) for row in theta]
+        gens += [_combine(row, fs, mod) for row in lam]
+        if mu is not None:
+            t = codec.pack(units[-1]) - codec.one  # adding t multiplies by T
+            ht = [(m + t, c) for m, c in _combine(mu, fs, mod).items()]
+            gens.append(_combine([one, minus_one], [const, ht], mod))
+        return gens
+    return ring, pack
+
+
+def _combine(coeffs, polys, mod) -> dict:
+    """sum(c * f for c, f in zip(coeffs, polys)) of packed term lists, as
+    a dict of canonical nonzero coefficients."""
+    acc = {}
+    for c, f in zip(coeffs, polys):
+        if c:
+            for m, a in f:
+                acc[m] = acc.get(m, 0) + c * a
+    if mod:
+        return {m: r for m, v in acc.items() if (r := v % mod)}
+    return {m: v for m, v in acc.items() if v}
 
 
 @dataclass(frozen=True)
@@ -156,12 +201,12 @@ def compute_gi(f, i: int, field, seed: int, trace=None) -> GiResult:
     trial harness counts them.  A unit ideal is a valid outcome with
     value 0 and is flagged instead of raised.  An optional
     `groebner.F4Trace` lets draws of one batch over F_p replay one
-    learned F4 run; the result is the same with or without it.
+    learned F4 run; the result is the same with or without it.  elapsed
+    covers building the system and counting.
     """
     params = draw_parameters(i, f.n, f.r, field, seed)
-    system = build_saturated_system(f, params)
     start = time.perf_counter()
-    ideal = leading_ideal(system.generators, trace)
+    ideal = saturated_leading_ideal(f, params, trace)
     value = ideal_degree(ideal)
     elapsed = time.perf_counter() - start
     return GiResult(value, i, field.descriptor, params, elapsed,
