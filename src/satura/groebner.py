@@ -73,13 +73,24 @@ reducer search or column sort: Traverso's Groebner trace algorithms
 (ISSAC 1988) and Joux and Vitse's F4Remake (CT-RSA 2011), but keeping
 every S-row.  Each replayed matrix is checked against the record and a
 mismatch reruns in full, so the basis is bit-identical either way.
+
+A `deadline` caps the engine's work in the current context (a thread,
+say) by wall clock.  The engine checks it on entry, once per main-loop
+batch, per F4 row packed or inserted, per generator of an
+autoreduction round and, over Q, per normal-form step and per
+coefficient made primitive, and raises TimeoutError at the first check
+past it.
 """
 
 import heapq
+import time
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from operator import lshift
 
 from .arith import PackedEchelon, primitive_scale
 from .poly import Polynomial, PolyRing, mono_divides, mono_lcm
@@ -87,6 +98,30 @@ from .poly import Polynomial, PolyRing, mono_divides, mono_lcm
 
 class NotZeroDimensional(ValueError):
     """The quotient by the ideal is not a finite-dimensional vector space."""
+
+
+_deadline = ContextVar("deadline", default=None)  # perf_counter() cap, or None
+
+
+@contextmanager
+def deadline(seconds):
+    """Cap the engine's work in this context at seconds of wall clock from
+    now: its next check after that raises TimeoutError.  A falsy seconds
+    adds no cap."""
+    if not seconds:
+        yield
+        return
+    token = _deadline.set(time.perf_counter() + seconds)
+    try:
+        yield
+    finally:
+        _deadline.reset(token)
+
+
+def _check_deadline():
+    end = _deadline.get()
+    if end is not None and time.perf_counter() > end:
+        raise TimeoutError("deadline passed")
 
 
 class _Codec:
@@ -97,7 +132,7 @@ class _Codec:
     """
 
     __slots__ = ("n", "cap", "shifts", "guards", "mask", "flip",
-                 "sign", "one", "degshift")
+                 "sign", "one", "degshift", "base")
 
     def __init__(self, n: int, order_name: str, width: int):
         self.n = n
@@ -121,17 +156,17 @@ class _Codec:
         self.guards = 0
         for s in self.shifts:
             self.guards |= 1 << (s + w - 1)
+        # grevlex's fields hold cap - e: every field at cap, less the exponents
+        self.base = sum(self.flip << s for s in self.shifts)
         self.one = self.pack((0,) * n)
 
     def pack(self, m) -> int:
-        # cap - e == cap ^ e for 0 <= e <= cap: flip stores the complement
-        cap, flip = self.cap, self.flip
-        p = 0 if self.degshift is None else sum(m) << self.degshift
-        for e, s in zip(m, self.shifts):
-            if e > cap:
-                raise OverflowError(f"exponent {e} exceeds packing width")
-            p |= (e ^ flip) << s
-        return p
+        if m and max(m) > self.cap:
+            raise OverflowError(f"exponent {max(m)} exceeds packing width")
+        low = sum(map(lshift, m, self.shifts))
+        if self.degshift is None:
+            return low
+        return (sum(m) << self.degshift) + self.base - low
 
     def unpack(self, p: int) -> tuple:
         mask, flip = self.mask, self.flip
@@ -158,14 +193,24 @@ def _from_packed(d: dict, codec: _Codec, ring: PolyRing) -> Polynomial:
 
 def _make_primitive(d: dict):
     """Rescale rational coefficients in place to integers with content 1
-    and a positive lead; returns the factor applied."""
-    scale = primitive_scale(d.values())
+    and a positive lead; returns the factor applied.  Both passes check
+    the deadline per coefficient: a remainder's coefficients can run to
+    10^5 bits, at some 0.01 s each."""
+    scale = primitive_scale(_checked(d.values()))
     if d[max(d)] < 0:
         scale = -scale
     num, den = scale.numerator, scale.denominator
     for p, c in d.items():
+        _check_deadline()
         d[p] = c * num // den  # exact: the result is an integer
     return scale
+
+
+def _checked(items):
+    """items, with a deadline check before each."""
+    for x in items:
+        _check_deadline()
+        yield x
 
 
 def _inverse(c, mod):
@@ -267,6 +312,7 @@ def _nf_packed(f: dict, find, mod, guards):
         if mod:
             factor = -c * hit[1] % mod  # negated once here, not per tail term
         else:
+            _check_deadline()
             a = hit[1]
             g = gcd(a, c)
             if g != a:
@@ -423,10 +469,15 @@ def _f4_matrix(spolys, cols, index, reducers, p: int, stats):
     """
     ech = PackedEchelon(p, len(cols))
     for k, (_, _, tail), shift in reducers:
+        _check_deadline()
         ech.pivots[k] = ech.pack((index[tm + shift], c) for tm, c in tail)
-    leads = [ech.insert(ech.pack((index[m], c) for m, c in s.items() if c % p))
-             for s in spolys]
-    leads = sorted((k for k in leads if k is not None), reverse=True)
+    leads = []
+    for s in spolys:
+        _check_deadline()
+        k = ech.insert(ech.pack((index[m], c) for m, c in s.items() if c % p))
+        if k is not None:
+            leads.append(k)
+    leads.sort(reverse=True)
     stats.spairs_reduced += len(spolys)
     stats.zero_reductions += len(spolys) - len(leads)
     stats.matrices += 1
@@ -651,6 +702,7 @@ def _packer(gens):
 def _run(ring: PolyRing, pack, trace, finish):
     """finish(ring, stats, main) after `_main_phase`, first with 8-bit
     exponent fields and on OverflowError again with 16-bit ones."""
+    _check_deadline()
     if trace is not None:
         trace.last = None
     try:
@@ -886,6 +938,7 @@ def _main_loop(inputs, codec: _Codec, mod, stats, key):
         add_generator(d)
 
     while pairs:
+        _check_deadline()
         if learned is not None:
             had, t0 = list(prepared), len(keys)
         # F_p: every pair of the lowest lcm degree, reduced in one matrix;
@@ -989,6 +1042,7 @@ def _autoreduce(work, mod, codec: _Codec):
         # one reducer record per generator and round, renewed when it changes
         prepared = [None if d is None else _prepare(d, mod) for d in work]
         for i in range(len(work)):
+            _check_deadline()
             if work[i] is None:
                 continue
             reducers = [r for j, r in enumerate(prepared)

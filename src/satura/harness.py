@@ -11,17 +11,15 @@ import csv
 import io
 import json
 import os
-import signal
 import statistics
 import time
 import zlib
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional
 
 from .arith import prime_field
-from .groebner import F4Trace, NotZeroDimensional
+from .groebner import F4Trace, NotZeroDimensional, deadline
 from .hilbert import affine_hilbert_function, require_degree_compatible
 from .poly import polys_to_json
 from .saturate import (compute_gi, draw_parameters, saturated_leading_ideal,
@@ -51,29 +49,6 @@ def default_threads() -> int:
     return os.cpu_count() or 1
 
 
-class _TrialTimeout(Exception):
-    pass
-
-
-@contextmanager
-def _alarm(seconds):
-    """SIGALRM-based per-trial wall clock cap; no-op when seconds is falsy."""
-    if not seconds:
-        yield
-        return
-
-    def handler(signum, frame):
-        raise _TrialTimeout
-
-    old = signal.signal(signal.SIGALRM, handler)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, old)
-
-
 @dataclass(frozen=True)
 class Outcome:
     kind: str          # "ok" | "timeout" | "degenerate" | "error"
@@ -85,17 +60,17 @@ class Outcome:
 def run_capped(fn, timeout_s) -> Outcome:
     """Call fn() under a wall-clock cap and classify how it ended.
 
-    A NotZeroDimensional is a degenerate draw; any other exception is an
-    error whose message is kept, so a batch or sweep survives it.  The
-    cap uses SIGALRM, which exists on POSIX only and works only in the
-    main thread; a falsy timeout_s runs uncapped.
+    The cap is a `groebner.deadline`, whose TimeoutError is a timeout; a
+    NotZeroDimensional is a degenerate draw; any other exception is an
+    error whose message is kept, so a batch or sweep survives it.  A
+    falsy timeout_s runs uncapped.
     """
     start = time.perf_counter()
     try:
-        with _alarm(timeout_s):
+        with deadline(timeout_s):
             result = fn()
         return Outcome("ok", result, time.perf_counter() - start)
-    except _TrialTimeout:
+    except TimeoutError:
         kind, message = "timeout", ""
     except NotZeroDimensional:
         kind, message = "degenerate", ""

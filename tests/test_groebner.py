@@ -1,4 +1,5 @@
 import random
+import sys
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -8,10 +9,12 @@ import pytest
 from satura import groebner
 from satura.arith import QQ, prime_field
 from satura.groebner import (F4Trace, GroebnerBasis, NotZeroDimensional,
-                             _Codec, buchberger, ideal_degree, is_zero_dimensional,
-                             normal_form, quotient_basis, s_polynomial,
-                             verify_groebner)
+                             _Codec, buchberger, deadline, ideal_degree,
+                             is_zero_dimensional, normal_form, quotient_basis,
+                             s_polynomial, verify_groebner)
 from satura.poly import GREVLEX, LEX, PolyRing, mono_div, mono_divides, mono_lcm
+from satura.problems import alt_system, conics_affine_system
+from satura.saturate import compute_gi, split_seed
 
 # F_5, word-size primes at 15 and 30 bits, the Mersenne prime 2^61 - 1
 # (products near 2^122 in the delayed normal form), 2^62 - 57, the
@@ -701,3 +704,55 @@ def test_trace_keeps_its_record_without_a_full_run():
     gens = [Q.parse("x^2 + y"), Q.parse("x*y - 1")]
     assert buchberger(gens, fresh) == buchberger(gens)
     assert fresh.record is None and fresh.last is None
+
+
+@pytest.mark.parametrize("order", (GREVLEX, LEX), ids=lambda o: o.name)
+@pytest.mark.parametrize("width", (8, 16))
+def test_codec_pack_matches_the_fieldwise_layout(order, width):
+    codec = _Codec(4, order.name, width)
+    rng = random.Random(width)
+    for _ in range(200):
+        m = tuple(rng.randrange(codec.cap + 1) for _ in range(4))
+        fields = sum((e ^ codec.flip) << s for e, s in zip(m, codec.shifts))
+        top = 0 if codec.degshift is None else sum(m) << codec.degshift
+        assert codec.pack(m) == top | fields
+    assert _Codec(0, order.name, width).pack(()) == 0
+
+
+def test_deadline_raises_timeout_error():
+    R = PolyRing(("x", "y"), prime_field(32003))
+    gens = [R.parse("x^2 + y"), R.parse("x*y - 1")]
+    with deadline(1e-9), pytest.raises(TimeoutError):
+        buchberger(gens)
+    with deadline(0), deadline(None):
+        assert len(buchberger(gens)) == 3
+    assert len(buchberger(gens)) == 3
+
+
+def test_deadline_is_checked_at_every_site(monkeypatch):
+    # the engine functions that reach the check, and how often: once on
+    # entry, per main-loop batch, per F4 row packed or inserted (replays
+    # too), per generator of an autoreduction round, and over Q per
+    # normal-form step and per coefficient in both passes of making a
+    # remainder primitive
+    seen, check = Counter(), groebner._check_deadline
+
+    def spy():
+        seen[sys._getframe(1).f_code.co_name] += 1
+        check()
+    monkeypatch.setattr(groebner, "_check_deadline", spy)
+    alt, trace = alt_system(), F4Trace()
+    for seed in (2024, split_seed(2024, 1)):  # learned, then replayed
+        seen.clear()
+        stats = compute_gi(alt, 6, prime_field(32771), seed, trace).stats
+        assert seen.pop("_autoreduce") > 0
+        expected = {"_run": 1, "_f4_matrix": stats.matrix_rows}
+        if trace.last != "replayed":
+            expected["_main_loop"] = stats.matrices
+        assert seen == expected
+    assert trace.last == "replayed"
+    seen.clear()
+    stats = compute_gi(conics_affine_system(), 4, QQ, 2024).stats
+    for name in ("_autoreduce", "_nf_packed", "_make_primitive", "_checked"):
+        assert seen.pop(name) > 0, name
+    assert seen == {"_run": 1, "_main_loop": stats.spairs_reduced}

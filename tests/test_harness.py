@@ -2,10 +2,12 @@ import csv
 import io
 import json
 import os
+import threading
+import time
 
 import pytest
 
-from satura.arith import prime_field
+from satura.arith import QQ, prime_field
 from satura.groebner import F4Trace
 from satura.harness import (REFERENCE_VALUES, CellTable, TrialReport,
                             _resolve_timeout, default_threads, gi_table,
@@ -101,12 +103,54 @@ def test_interrupted_learning_keeps_the_old_record():
 
 
 def test_auto_cap_starts_at_g6():
-    # g5 takes 31-65 s on a 2-core box; a 60 s cap made its cell flip
-    # between 234 and "-", so it stays uncapped like the smaller i
+    # a 60 s cap made g5's cell flip between 234 and "-" when it took
+    # 31-65 s (2-4 s on a 2-core box now), so it stays uncapped like the
+    # smaller i
     assert [_resolve_timeout("auto", i) for i in (0, 4, 5, 6, 7)] \
         == [None, None, None, 60.0, 60.0]
     assert _resolve_timeout(2.5, 5) == 2.5
     assert _resolve_timeout(None, 7) is None
+
+
+def test_caps_work_off_the_main_thread():
+    # the engine checks its own deadline, so the default caps of i >= 6
+    # give a thread the main thread's buckets and cells
+    alt = alt_system()
+
+    def run():
+        return (strip_timing(run_trials(alt, 7, 32771, 2, 1, threads=1)),
+                strip_elapsed(gi_table(alt, [7], [32771], 1)),
+                strip_elapsed(hilbert_table(alt, [7], 32771, 4, 1)))
+    got = []
+    worker = threading.Thread(target=lambda: got.append(run()))
+    worker.start()
+    worker.join(120)
+    assert not worker.is_alive()
+    main = run()
+    assert main[0]["histogram"] == {"7": 2} and main[1][0]["value"] == 7
+    assert got == [main]
+
+
+@pytest.mark.parametrize("problem, i, field, value", [
+    (alt_system, 7, prime_field(32771), 7),
+    (conics_affine_system, 4, QQ, 9),  # the one-pair rational branch
+], ids=("alt-g7", "conics-g4-Q"))
+def test_a_passed_cap_times_out_and_ends_with_its_call(problem, i, field,
+                                                       value):
+    # a cap that passes before the engine starts is a timeout however
+    # fast the engine is; neither it nor a cap that a call finished
+    # under outlives the call
+    inst = problem()
+
+    def cell():
+        return compute_gi(inst, i, field, 2024).value
+    assert run_capped(cell, 1e-9).kind == "timeout"
+    assert cell() == value
+    start = time.perf_counter()
+    out = run_capped(cell, 1.0)
+    assert out.kind == "ok" and out.result == value
+    time.sleep(max(0.0, start + 1.05 - time.perf_counter()))
+    assert cell() == value
 
 
 def test_report_serializations_agree():
