@@ -16,7 +16,7 @@ from satura import LEX, SaturationParameters, integer_primitive, lm_agreement_te
 from satura.problems import example_monomial_system
 from satura.saturate import build_saturated_system
 
-inst = example_monomial_system()
+inst = example_monomial_system().with_order(LEX)
 
 # one slicing row and one combination row, rigged with denominators
 # divisible by each prime we want to probe
@@ -28,13 +28,13 @@ params = SaturationParameters(
     "Q",
 )
 
-system = build_saturated_system(inst.with_order(LEX), params)
+system = build_saturated_system(inst, params)
 print("integer-primitive generators:")
 for g in system.generators:
     print("   ", integer_primitive(g))
 
 for p in (2, 3, 5, 7, 11, 13):
-    res = lm_agreement_test(inst, 1, params, p, order=LEX)
+    res = lm_agreement_test(inst, 1, params, p)
     if res.agree:
         print(f"p={p:>2}: {res}  (evidence only, not a certificate)")
     else:

@@ -18,7 +18,7 @@ from .bounds import BoundsInput, bounds_report
 from .groebner import buchberger, ideal_degree, is_zero_dimensional
 from .harness import gi_table, hilbert_table, run_trials
 from .hilbert import emit_certification_system, jde_dimension
-from .poly import order_from_name, polys_from_json, polys_to_json
+from .poly import GREVLEX, order_from_name, polys_from_json, polys_to_json
 from .problems import PROBLEMS, ProblemInstance, conics_pstar_system, get_problem
 
 
@@ -27,18 +27,16 @@ def _load_system(path, order):
         return polys_from_json(json.load(fh), order)
 
 
-def _resolve_problem(spec: str, order_name: str = "grevlex") -> ProblemInstance:
-    order = order_from_name(order_name)
+def _resolve_problem(spec: str) -> ProblemInstance:
+    """A built-in problem, conics-pstar, or a file: system in grevlex."""
     if spec.startswith("file:"):
         path = spec[5:]
-        ring, polys = _load_system(path, order)
+        ring, polys = _load_system(path, GREVLEX)
         return ProblemInstance(path, ring, tuple(polys))
     if spec == "conics-pstar":
         polys = conics_pstar_system()
-        inst = ProblemInstance("conics-pstar", polys[0].ring, tuple(polys))
-    else:
-        inst = get_problem(spec)
-    return inst.with_order(order)
+        return ProblemInstance("conics-pstar", polys[0].ring, tuple(polys))
+    return get_problem(spec)
 
 
 def _emit(text: str, out_path: str = None) -> None:
@@ -114,7 +112,7 @@ def _cmd_gb(args) -> int:
 
 
 def _cmd_gi(args) -> int:
-    problem = _resolve_problem(args.problem, args.order)
+    problem = _resolve_problem(args.problem)
     return _emit_run(gi_table(problem, _int_list(args.i),
                               _check_primes(_int_list(args.prime)), args.seed,
                               timeout_s=args.timeout_s,
@@ -122,7 +120,7 @@ def _cmd_gi(args) -> int:
 
 
 def _cmd_hilbert(args) -> int:
-    problem = _resolve_problem(args.problem, args.order)
+    problem = _resolve_problem(args.problem)
     _check_primes([args.prime])
     return _emit_run(hilbert_table(problem, _int_list(args.i), args.prime,
                                    args.dmax, args.seed,
@@ -130,7 +128,7 @@ def _cmd_hilbert(args) -> int:
 
 
 def _cmd_jde(args) -> int:
-    polys = list(_resolve_problem(args.problem, args.order).polys)
+    polys = list(_resolve_problem(args.problem).polys)
     dim, bound = jde_dimension(polys, args.d, args.e)
     _emit(json.dumps({"d": args.d, "e": args.e, "dim": dim, "bound": bound},
                      indent=2), args.out)
@@ -138,7 +136,7 @@ def _cmd_jde(args) -> int:
 
 
 def _cmd_trials(args) -> int:
-    problem = _resolve_problem(args.problem, args.order)
+    problem = _resolve_problem(args.problem)
     _check_primes([args.prime])
     return _emit_run(run_trials(problem, args.i, args.prime, args.trials,
                                 args.seed, threads=args.threads,
@@ -221,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--file", required=True)
 
     g = command("gi", _cmd_gi, "randomized g_i count(s)",
-                "--seed --timeout-s --order --out --format")
+                "--seed --timeout-s --out --format")
     g.add_argument("--problem", required=True,
                    help="monomial-example | conics-affine | alt | conics-pstar | file:<path>")
     g.add_argument("--i", required=True, help="index or comma list")
@@ -229,20 +227,20 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--checkpoint", default=None, help="resumable cell store (JSON path)")
 
     g = command("hilbert", _cmd_hilbert, "affine Hilbert function rows",
-                "--seed --timeout-s --order --out --format")
+                "--seed --timeout-s --out --format")
     g.add_argument("--problem", required=True)
     g.add_argument("--i", required=True, help="index or comma list")
     g.add_argument("--prime", type=int, required=True)
     g.add_argument("--dmax", type=_at_least(int, 0), default=8)
 
     g = command("jde", _cmd_jde, "dimension of the degree-(d+e) reduction space J_d^e",
-                "--order --out")
+                "--out")
     g.add_argument("--problem", required=True)
     g.add_argument("--d", type=int, required=True)
     g.add_argument("--e", type=int, required=True)
 
     g = command("trials", _cmd_trials, "batched trials with histogram",
-                "--seed --threads --timeout-s --order --out --format")
+                "--seed --threads --timeout-s --out --format")
     g.add_argument("--problem", required=True)
     g.add_argument("--i", type=int, required=True)
     g.add_argument("--prime", type=int, required=True)

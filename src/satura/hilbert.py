@@ -49,13 +49,6 @@ class HilbertProfile:
         return tuple(self.values[d] for d in sorted(self.values))
 
 
-def require_degree_compatible(ring: PolyRing) -> None:
-    """Raise OrderNotDegreeCompatible unless the ring's order refines degree."""
-    if not ring.order.degree_compatible:
-        raise OrderNotDegreeCompatible(
-            f"{ring.order.name} does not refine total degree")
-
-
 def affine_hilbert_function(basis, d_max: int) -> HilbertProfile:
     """HF(d) for d in [0, d_max], with plateau detection, from a
     `GroebnerBasis` or a `LeadingIdeal`.
@@ -63,8 +56,10 @@ def affine_hilbert_function(basis, d_max: int) -> HilbertProfile:
     A plateau is definitive: a standard monomial of degree d+1 has a
     standard divisor of degree d, so one flat step means flat forever.
     """
-    ring = basis.ring
-    require_degree_compatible(ring)
+    order = basis.ring.order
+    if not order.degree_compatible:
+        raise OrderNotDegreeCompatible(
+            f"{order.name} does not refine total degree")
     if d_max < 0:
         raise ValueError("d_max must be non-negative")
     degrees = [sum(m) for m in standard_monomials(basis, d_max)]

@@ -78,19 +78,8 @@ def order_from_name(name: str):
         raise ValueError(f"unknown monomial order {name!r}") from None
 
 
-def order_compare(a: Monomial, b: Monomial, order) -> int:
-    """-1, 0 or 1 as a <, =, > b under the order."""
-    ka, kb = order.key(a), order.key(b)
-    return (ka > kb) - (ka < kb)
-
-
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(x + y for x, y in zip(a, b))
-
-
-def mono_div(a: Monomial, b: Monomial) -> Monomial:
-    """a / b, assuming b divides a."""
-    return tuple(x - y for x, y in zip(a, b))
 
 
 def mono_divides(a: Monomial, b: Monomial) -> bool:
@@ -364,34 +353,6 @@ class Polynomial:
         values = evaluate_monomials(point, [m for m, _ in self.terms], field)
         total = sum((c * v for (_, c), v in zip(self.terms, values)), field.zero)
         return total % field.p if field.p else total
-
-    def substitute(self, values) -> "Polynomial":
-        """Compose: replace variable i by values[i] (polynomials or constants)."""
-        if len(values) != self.ring.nvars:
-            raise DimensionMismatch(
-                f"{len(values)} substitution values, expected {self.ring.nvars}")
-        target = None
-        for v in values:
-            if isinstance(v, Polynomial):
-                target = v.ring
-                break
-        if target is None:
-            raise ValueError("at least one substitution value must be a polynomial")
-        vals = [v if isinstance(v, Polynomial) else target.const(v) for v in values]
-        pow_cache = [{} for _ in vals]
-        parts = []
-        for m, _ in self.terms:
-            part = target.one()
-            for i, e in enumerate(m):
-                if not e:
-                    continue
-                cached = pow_cache[i].get(e)
-                if cached is None:
-                    cached = vals[i] ** e
-                    pow_cache[i][e] = cached
-                part = part * cached
-            parts.append(part)
-        return target.combine([c for _, c in self.terms], parts)
 
     def permute_vars(self, sigma) -> "Polynomial":
         """Exponent shuffle: source variable i becomes variable sigma[i]."""

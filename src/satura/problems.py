@@ -236,33 +236,22 @@ class BaseLocusReport:
     checked: int
 
 
-def _space_parameterization(ring: PolyRing, equations) -> list:
-    """Solve the linear equations: pivot variables become polynomials in
-    the free ones, so substitution sweeps the whole linear space.
-
-    The reduced Groebner basis of linear equations is their reduced row
-    echelon form: each element is x_j - (terms in free variables).
-    """
-    for eq in equations:
-        if eq.degree() > 1:
-            raise ValueError(f"{eq} is not linear")
-    basis = buchberger(equations)
-    if basis.is_unit:
-        raise ValueError("inconsistent linear space")
-    solved = {g.lm().index(1): g for g in basis}
-    return [x - solved[j] if j in solved else x
-            for j, x in enumerate(ring.gens())]
-
-
 def verify_base_locus(inst: ProblemInstance) -> BaseLocusReport:
-    """Check every f_j vanishes identically on every declared linear space."""
+    """Check every f_j vanishes identically on every declared linear
+    space: f_j lies in the ideal of the space's linear equations, which
+    is prime, so membership is vanishing on the space."""
     failures = []
     checked = 0
     for si, space in enumerate(inst.base_locus, start=1):
-        values = _space_parameterization(inst.ring, space)
+        for eq in space:
+            if eq.degree() > 1:
+                raise ValueError(f"{eq} is not linear")
+        basis = buchberger(space)
+        if basis.is_unit:
+            raise ValueError("inconsistent linear space")
         for pj, f in enumerate(inst.polys, start=1):
             checked += 1
-            if not f.substitute(values).is_zero():
+            if not basis.contains(f):
                 failures.append((si, pj))
     return BaseLocusReport(not failures, tuple(failures), checked)
 

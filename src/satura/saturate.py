@@ -20,7 +20,7 @@ from typing import Optional
 from .arith import field_from_descriptor, prime_field, primitive_scale
 from .groebner import (GroebnerStats, LeadingIdeal, ideal_degree, leading_ideal,
                        packed_leading_ideal, unpack_generators)
-from .poly import Polynomial
+from .poly import GREVLEX, DimensionMismatch, Polynomial
 
 
 class PrimeTooSmall(ValueError):
@@ -65,8 +65,6 @@ class SaturationParameters:
     rng_seed: Optional[int] = None
 
     def check_shape(self, n: int, r: int) -> None:
-        from .poly import DimensionMismatch
-
         if len(self.theta) != self.i or any(len(row) != n for row in self.theta):
             raise DimensionMismatch(f"theta must be {self.i}x{n}")
         if len(self.lam) != n - self.i or any(len(row) != r for row in self.lam):
@@ -113,9 +111,10 @@ def build_saturated_system(f, params: SaturationParameters) -> SaturatedSystem:
     T goes last so it is the least variable under grevlex and the
     x-monomial order is undisturbed.  Over F_p, p must be at least 5
     and exceed every coefficient magnitude of f, so that reducing f
-    mod p keeps the system intact; else PrimeTooSmall.  This is the
-    system `saturated_leading_ideal` reads, as polynomials; an exponent
-    of f above 2^15 - 1 raises OverflowError, as in the engine.
+    mod p keeps the system intact; else PrimeTooSmall.  The ring keeps
+    f's order; for a grevlex f this is the system
+    `saturated_leading_ideal` reads, as polynomials.  An exponent of f
+    above 2^15 - 1 raises OverflowError, as in the engine.
     """
     ring, pack = _saturated(f, params)
     return SaturatedSystem(unpack_generators(ring, pack), params, f)
@@ -123,9 +122,18 @@ def build_saturated_system(f, params: SaturationParameters) -> SaturatedSystem:
 
 def saturated_leading_ideal(f, params: SaturationParameters,
                             trace=None) -> LeadingIdeal:
-    """leading_ideal(build_saturated_system(f, params).generators, trace),
-    with the system built as packed term dicts and no polynomial."""
-    return packed_leading_ideal(*_saturated(f, params), trace)
+    """leading_ideal(build_saturated_system(f.with_order(GREVLEX),
+    params).generators, trace), with the system built as packed term
+    dicts and no polynomial.
+
+    The counts read off it do not depend on a monomial order, and the
+    affine Hilbert function needs a degree order, so it runs in grevlex
+    whatever f's order: a lex f counts exactly as its grevlex twin.
+    """
+    ring, pack = _saturated(f, params)
+    if ring.order.name != GREVLEX.name:
+        ring = ring.with_order(GREVLEX)
+    return packed_leading_ideal(ring, pack, trace)
 
 
 def _saturated(f, params: SaturationParameters):
@@ -202,7 +210,9 @@ def compute_gi(f, i: int, field, seed: int, trace=None) -> GiResult:
     value 0 and is flagged instead of raised.  An optional
     `groebner.F4Trace` lets draws of one batch over F_p replay one
     learned F4 run; the result is the same with or without it.  elapsed
-    covers building the system and counting.
+    covers building the system and counting; basis_size and stats
+    describe the grevlex run of `saturated_leading_ideal`, whatever f's
+    order.
     """
     params = draw_parameters(i, f.n, f.r, field, seed)
     start = time.perf_counter()
@@ -240,10 +250,10 @@ class AgreementResult:
         return f"Disagree(p={self.prime}, witness={self.witness})"
 
 
-def lm_agreement_test(f, i: int, params: SaturationParameters, p: int,
-                      order=None) -> AgreementResult:
+def lm_agreement_test(f, i: int, params: SaturationParameters,
+                      p: int) -> AgreementResult:
     """Compare leading-monomial sets of the reduced basis over Q and
-    over F_p on the same integer-primitive generators.
+    over F_p on the same integer-primitive generators, in f's order.
 
     Disagreement certifies p unlucky for this ideal; agreement is
     supporting evidence only.
@@ -253,8 +263,6 @@ def lm_agreement_test(f, i: int, params: SaturationParameters, p: int,
     # no minimum-size gate here: probing deliberately small unlucky primes
     # is the whole point of the test
     fp = prime_field(p)
-    if order is not None:
-        f = f.with_order(order)
     system = build_saturated_system(f, params)
     prim = [integer_primitive(g) for g in system.generators]
     ring_p = system.ring.with_field(fp)

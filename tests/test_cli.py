@@ -155,15 +155,19 @@ def test_trial_failures_exit_3(capsys):
     assert json.loads(out)["histogram"] == {"timeout": 2}
 
 
-def test_order_flag_applies(capsys):
-    # the affine Hilbert function needs a degree order: lex must be refused
-    code, out, err = run(capsys, "hilbert", "--problem", "monomial", "--i", "1",
-                         "--prime", "32003", "--order", "lex")
-    assert code == 2 and "does not refine total degree" in err
-    # g_i is the same count under either order
-    code, out, _ = run(capsys, "gi", "--problem", "monomial", "--i", "1",
-                       "--prime", "32003", "--order", "lex")
-    assert code == 0 and json.loads(out)["cells"][0]["value"] == 5
+def test_order_flag_applies(capsys, tmp_path):
+    # gb writes its basis in the order asked for: x - y^2 leads with x
+    # under lex and with y^2 under grevlex
+    path = tmp_path / "sys.json"
+    path.write_text(json.dumps({"vars": ["x", "y"], "field": "Q",
+                                "polys": [[["1", [1, 0]], ["-1", [0, 2]]]]}))
+    leads = {}
+    for order in ("lex", "grevlex"):
+        code, out, _ = run(capsys, "gb", "--file", str(path), "--order", order)
+        assert code == 0
+        (lead, *_), = json.loads(out)["polys"]
+        leads[order] = lead
+    assert leads == {"lex": ["1", [1, 0]], "grevlex": ["1", [0, 2]]}
 
 
 def test_gi_trials_mode(capsys):
@@ -445,6 +449,8 @@ REQUIRED = {
     "gi": ("--problem", "monomial", "--i", "1", "--prime", "32003"),
     "hilbert": ("--problem", "monomial", "--i", "1", "--prime", "32003"),
     "jde": ("--problem", "monomial", "--d", "1", "--e", "0"),
+    "trials": ("--problem", "monomial", "--i", "1", "--prime", "32003",
+               "--trials", "1"),
     "bounds": ("--degrees", "2,3", "--g-upper", "6"),
     "problems": ("list",),
     "emit-cert": ("--file", "sys.json", "--points", "pts.json",
@@ -454,9 +460,10 @@ FLAG_VALUE = {"--seed": "1", "--threads": "1", "--timeout-s": "1",
               "--format": "csv", "--order": "lex"}
 UNREAD = [(command, flag) for command, flags in (
     ("gb", "--seed --threads --timeout-s --format"),
-    ("gi", "--threads"),
-    ("hilbert", "--threads"),
-    ("jde", "--seed --threads --timeout-s --format"),
+    ("gi", "--threads --order"),
+    ("hilbert", "--threads --order"),
+    ("jde", "--seed --threads --timeout-s --format --order"),
+    ("trials", "--order"),
     ("bounds", "--seed --threads --timeout-s --format --order"),
     ("problems", "--seed --threads --timeout-s --order"),
     ("emit-cert", "--seed --threads --timeout-s --format"),

@@ -201,7 +201,7 @@ def test_counts_never_reach_the_final_reduction(monkeypatch):
         gi = [compute_gi(alt, i, field, 2024) for i in (7, 6)]
         gi.append(compute_gi(inst, 1, QQ, 2024))
         rows = hilbert_table(alt, [7, 6], 32771, 8, 2024).cells
-        agree = [lm_agreement_test(inst, 1, worked, p, order=order)
+        agree = [lm_agreement_test(inst.with_order(order), 1, worked, p)
                  for p in (7, 13) for order in (LEX, GREVLEX)]
         return ([replace(r, elapsed=0) for r in gi],
                 [{k: v for k, v in c.items() if k != "elapsed"} for c in rows],

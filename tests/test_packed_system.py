@@ -67,9 +67,12 @@ def polynomial_system(f, params):
 
 def polynomial_inputs(problem, params):
     """The same through the polynomials: pack the system, normalise,
-    Gauss-Jordan on the linear generators and substitute them."""
-    gens = polynomial_system(problem, params)
-    assert build_saturated_system(problem, params).generators == gens
+    Gauss-Jordan on the linear generators and substitute them.  The
+    count packs in grevlex whatever the problem's order, while
+    `build_saturated_system` keeps it."""
+    assert (build_saturated_system(problem, params).generators
+            == polynomial_system(problem, params))
+    gens = polynomial_system(problem.with_order(GREVLEX), params)
     ring = gens[0].ring
     mod = ring.field.p
     codec = groebner._codec(ring.nvars, ring.order.name, 8)

@@ -4,8 +4,8 @@ import pytest
 
 from satura.arith import QQ, prime_field
 from satura.poly import LEX, PolyRing
-from satura.problems import (ALT_CONJ_PAIRS, _check_primitive,
-                             _space_parameterization, alt_conj,
+from satura.problems import (ALT_CONJ_PAIRS, ProblemInstance,
+                             _check_primitive, alt_conj,
                              alt_coupler_instance, alt_system,
                              conics_affine_system,
                              conics_certification_monomials,
@@ -74,16 +74,32 @@ def test_alt_base_locus_identities():
     assert report.ok
     assert report.checked == 7 * 15
     assert report.failures == ()
-    # the parameterization holds under lex as well
+    # the membership test holds under lex as well
     assert verify_base_locus(alt_system().with_order(LEX)).ok
 
 
-def test_space_parameterization_rejects_bad_spaces():
-    R = example_monomial_system().ring
-    with pytest.raises(ValueError, match="inconsistent"):
-        _space_parameterization(R, [R.parse("x1 - 1"), R.parse("x1 - 2")])
-    with pytest.raises(ValueError, match="not linear"):
-        _space_parameterization(R, [R.parse("x1 - x2^2")])
+def test_verify_base_locus_rejects_bad_spaces():
+    inst = example_monomial_system()
+    R = inst.ring
+    for space, message in (((R.parse("x1 - 1"), R.parse("x1 - 2")), "inconsistent"),
+                           ((R.parse("x1 - x2^2"),), "not linear")):
+        bad = ProblemInstance(inst.name, R, inst.polys, (space,))
+        with pytest.raises(ValueError, match=message):
+            verify_base_locus(bad)
+
+
+def test_verify_base_locus_reports_each_failure():
+    # x*a vanishes on space 1 (x = y = 0) and on none of the other six,
+    # so f_8 + x*a fails exactly there, in either order
+    alt = alt_system()
+    R = alt.ring
+    polys = list(alt.polys)
+    polys[7] = polys[7] + R.parse("x*a")
+    for order in (alt.ring.order, LEX):
+        bad = ProblemInstance("alt", R, tuple(polys), alt.base_locus)
+        report = verify_base_locus(bad.with_order(order))
+        assert not report.ok and report.checked == 7 * 15
+        assert report.failures == tuple((s, 8) for s in range(2, 8))
 
 
 def test_transcription_is_primitive():

@@ -13,8 +13,7 @@ from satura.groebner import (F4Trace, GroebnerBasis, NotZeroDimensional,
                              buchberger, is_zero_dimensional, quotient_basis,
                              standard_monomials)
 from satura.poly import GREVLEX, LEX, DimensionMismatch, PolyRing, polys_to_json
-from satura.problems import (ProblemInstance, _space_parameterization,
-                             alt_system, conics_affine_system,
+from satura.problems import (ProblemInstance, alt_system, conics_affine_system,
                              example_monomial_system)
 from satura.saturate import (GeneratorVanishesModP, PrimeTooSmall,
                              SaturationParameters, build_saturated_system,
@@ -205,15 +204,15 @@ def test_worked_primitive_generators():
 def test_lex_agreement_goldens():
     """Frozen behaviour of the worked ideal: every prime in the unlucky
     set produces a leading-monomial mismatch, 7 agrees."""
-    inst = example_monomial_system()
-    res = lm_agreement_test(inst, 1, WORKED_PARAMS, 7, order=LEX)
+    inst = example_monomial_system().with_order(LEX)
+    res = lm_agreement_test(inst, 1, WORKED_PARAMS, 7)
     assert res.agree and res.witness is None
     assert set(res.lm_rational) == {(1, 0), (0, 5)}
     assert res.lm_rational == res.lm_modular
 
     witnesses = {2: (0, 1), 3: (0, 1), 5: (0, 1), 11: (0, 1), 13: (0, 3)}
     for p, w in witnesses.items():
-        res = lm_agreement_test(inst, 1, WORKED_PARAMS, p, order=LEX)
+        res = lm_agreement_test(inst, 1, WORKED_PARAMS, p)
         assert not res.agree, p
         assert res.witness == w
         assert (res.witness in res.lm_rational) ^ (res.witness in res.lm_modular)
@@ -232,7 +231,7 @@ def test_agreement_results_both_orders():
     }
     for order in (LEX, GREVLEX):
         for p in (2, 3, 5, 7, 11, 13):
-            res = lm_agreement_test(inst, 1, WORKED_PARAMS, p, order=order)
+            res = lm_agreement_test(inst.with_order(order), 1, WORKED_PARAMS, p)
             modular = (lm_q[order.name] if p == 7
                        else lm_p[order.name].get(p, ((0, 1), (1, 0))))
             witness = None if p == 7 else ((0, 3) if p == 13 else (0, 1))
@@ -266,7 +265,8 @@ def test_generator_vanishes_mod_p():
 
 def test_base_locus_points_do_not_extend():
     # on every declared component: the lambda rows vanish identically
-    # and the Rabinowitz generator collapses to the constant 1
+    # and the Rabinowitz generator collapses to the constant 1, so they
+    # and 1 minus it lie in the (prime) ideal of the component
     for inst, spaces in ((example_monomial_system(), None),
                          (alt_system(), 3)):
         i = min(2, inst.n - 1)
@@ -274,12 +274,10 @@ def test_base_locus_points_do_not_extend():
         sat = build_saturated_system(inst, params)
         E = sat.ring
         for space in inst.base_locus[:spaces]:
-            values = [E.coerce(v) for v in
-                      _space_parameterization(inst.ring, space)]
-            values.append(E.var("T"))
+            ideal = buchberger([E.coerce(eq) for eq in space])
             for g in sat.generators[params.i:-1]:
-                assert g.substitute(values).is_zero()
-            assert g.ring.one() == sat.generators[-1].substitute(values)
+                assert ideal.contains(g)
+            assert ideal.contains(E.one() - sat.generators[-1])
 
 
 def test_permutation_invariance_of_modal_count():
