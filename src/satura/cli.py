@@ -13,13 +13,14 @@ import math
 import sys
 from fractions import Fraction
 
-from .arith import InvalidModulus, prime_field
+from .arith import QQ, prime_field
 from .bounds import BoundsInput, bounds_report
 from .groebner import buchberger, ideal_degree, is_zero_dimensional
 from .harness import gi_table, hilbert_table, run_trials
 from .hilbert import emit_certification_system, jde_dimension
 from .poly import GREVLEX, order_from_name, polys_from_json, polys_to_json
-from .problems import PROBLEMS, ProblemInstance, conics_pstar_system, get_problem
+from .problems import PROBLEMS, ProblemInstance, get_problem
+from .saturate import draw_parameters
 
 
 def _load_system(path, order):
@@ -28,14 +29,11 @@ def _load_system(path, order):
 
 
 def _resolve_problem(spec: str) -> ProblemInstance:
-    """A built-in problem, conics-pstar, or a file: system in grevlex."""
+    """A built-in problem, or a file: system in grevlex."""
     if spec.startswith("file:"):
         path = spec[5:]
         ring, polys = _load_system(path, GREVLEX)
         return ProblemInstance(path, ring, tuple(polys))
-    if spec == "conics-pstar":
-        polys = conics_pstar_system()
-        return ProblemInstance("conics-pstar", polys[0].ring, tuple(polys))
     return get_problem(spec)
 
 
@@ -57,15 +55,21 @@ def _int_list(text: str):
     return out
 
 
-def _check_primes(primes):
-    """primes, each refused with exit 2 unless prime_field takes it, so a
-    bad --prime stops a run before any cell or trial starts."""
-    for p in primes:
+def _checked(flag, values, check):
+    """values, each refused with exit 2 unless check takes it, so a bad
+    --prime or --i stops a run before any cell or trial starts."""
+    for x in values:
         try:
-            prime_field(p)
-        except InvalidModulus as exc:
-            raise ValueError(f"--prime: {exc}") from None
-    return primes
+            check(x)
+        except ValueError as exc:
+            raise ValueError(f"{flag}: {exc}") from None
+    return values
+
+
+def _check_indices(problem, indices):
+    """indices, each refused unless draw_parameters takes it for problem."""
+    return _checked("--i", indices, lambda i: draw_parameters(
+        i, problem.n, problem.r, QQ, 0))
 
 
 def _at_least(kind, low):
@@ -113,18 +117,19 @@ def _cmd_gb(args) -> int:
 
 def _cmd_gi(args) -> int:
     problem = _resolve_problem(args.problem)
-    return _emit_run(gi_table(problem, _int_list(args.i),
-                              _check_primes(_int_list(args.prime)), args.seed,
+    i_list = _check_indices(problem, _int_list(args.i))
+    primes = _checked("--prime", _int_list(args.prime), prime_field)
+    return _emit_run(gi_table(problem, i_list, primes, args.seed,
                               timeout_s=args.timeout_s,
                               checkpoint=args.checkpoint), args)
 
 
 def _cmd_hilbert(args) -> int:
     problem = _resolve_problem(args.problem)
-    _check_primes([args.prime])
-    return _emit_run(hilbert_table(problem, _int_list(args.i), args.prime,
-                                   args.dmax, args.seed,
-                                   timeout_s=args.timeout_s), args)
+    _checked("--prime", [args.prime], prime_field)
+    i_list = _check_indices(problem, _int_list(args.i))
+    return _emit_run(hilbert_table(problem, i_list, args.prime, args.dmax,
+                                   args.seed, timeout_s=args.timeout_s), args)
 
 
 def _cmd_jde(args) -> int:
@@ -137,7 +142,8 @@ def _cmd_jde(args) -> int:
 
 def _cmd_trials(args) -> int:
     problem = _resolve_problem(args.problem)
-    _check_primes([args.prime])
+    _checked("--prime", [args.prime], prime_field)
+    _check_indices(problem, [args.i])
     return _emit_run(run_trials(problem, args.i, args.prime, args.trials,
                                 args.seed, threads=args.threads,
                                 reference=args.reference,
@@ -164,7 +170,7 @@ def _cmd_bounds(args) -> int:
 def _cmd_problems(args) -> int:
     if args.action == "list":
         rows = []
-        for name in sorted(PROBLEMS) + ["conics-pstar"]:
+        for name in PROBLEMS:
             inst = _resolve_problem(name)
             rows.append({"name": name, "n": inst.n, "r": inst.r,
                          "degrees": list(inst.degrees()),
@@ -276,10 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    # without --timeout-s, tables and trials resolve "auto" to the
-    # harness's per-i default cap; --timeout-s 0 runs uncapped
-    if "timeout_s" in vars(args) and args.timeout_s is None:
-        args.timeout_s = "auto"
     try:
         return args.fn(args)
     except (ValueError, OSError, KeyError) as exc:

@@ -14,7 +14,6 @@ import os
 import statistics
 import time
 import zlib
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -165,14 +164,9 @@ class TrialReport:
                     "seed", "reference", "reference_source", "successes",
                     "success_fraction", "wall_time"):
             w.writerow([key, d[key]])
-        for bucket, count in d["histogram"].items():
-            w.writerow([f"histogram:{bucket}", count])
-        for message, count in d["errors"].items():
-            w.writerow([f"errors:{message}", count])
-        for how, count in d["trace"].items():
-            w.writerow([f"trace:{how}", count])
-        for key, v in d["time_stats"].items():
-            w.writerow([f"time_stats:{key}", v])
+        for part in ("histogram", "errors", "trace", "time_stats"):
+            for key, v in d[part].items():
+                w.writerow([f"{part}:{key}", v])
         return buf.getvalue()
 
 
@@ -185,18 +179,9 @@ def _summary(times) -> dict:
     }
 
 
-def _resolve_timeout(timeout_s, i: int) -> Optional[float]:
-    """timeout_s, or for "auto" 60 s when i >= 6 and none below: g5
-    (2-4 s on a 2-core box), g4 (about 2 minutes) and smaller i cells
-    are long-running extended targets, so they stay uncapped."""
-    if timeout_s == "auto":
-        return 60.0 if i >= 6 else None
-    return timeout_s
-
-
 def run_trials(problem, i: int, p: int, trials: int, seed: int,
                threads: Optional[int] = None, reference: Optional[int] = None,
-               timeout_s="auto") -> TrialReport:
+               timeout_s: Optional[float] = None) -> TrialReport:
     """N independent compute_gi draws; success = agreeing with the
     reference value (built-in table, else the batch's modal value).
 
@@ -205,7 +190,6 @@ def run_trials(problem, i: int, p: int, trials: int, seed: int,
     depends on; the report counts how it served each trial's basis."""
     if trials < 0:
         raise ValueError("trials must be non-negative")
-    timeout_s = _resolve_timeout(timeout_s, i)
     threads = threads or default_threads()
     payloads = [(problem, i, p, split_seed(seed, t), timeout_s)
                 for t in range(trials)]
@@ -214,6 +198,8 @@ def run_trials(problem, i: int, p: int, trials: int, seed: int,
         trace = F4Trace()
         outcomes = [_run_one(pl, trace) for pl in payloads]
     else:
+        # imported here so that `import satura` loads no multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=threads,
                                  initializer=_start_worker) as pool:
             outcomes = list(pool.map(_run_in_worker, payloads, chunksize=1))
@@ -327,19 +313,19 @@ def _save_checkpoint(path, header: dict, done: dict) -> None:
 def _cell_table(kind, problem, seed: int, keys, timeout_s, run,
                 checkpoint=None) -> CellTable:
     """One record per (i, p) in keys: the cell key, then the fields that
-    run(i, p, cell_seed) returned under the cap for i, or value "-" with
-    the outcome and any error message.  The cell seed is split from seed
-    by i, then p.  With a checkpoint, finished cells are read from it
-    and each new one is saved as soon as it ends."""
+    run(i, p, cell_seed) returned under timeout_s, or value "-" with the
+    outcome and any error message.  The cell seed is split from seed by
+    i, then p.  A checkpoint keeps the ok and degenerate cells, which the
+    seed fixes, as they end; timeout and error cells run again on resume."""
     header = _checkpoint_header(problem, seed) if checkpoint else None
     done = _load_checkpoint(checkpoint, header)
     cells = []
     for i, p in keys:
         key = (str(i), str(p))
-        if key not in done:
+        cell = done.get(key)
+        if cell is None:
             cell_seed = split_seed(split_seed(seed, i), p)
-            out = run_capped(lambda: run(i, p, cell_seed),
-                             _resolve_timeout(timeout_s, i))
+            out = run_capped(lambda: run(i, p, cell_seed), timeout_s)
             cell = {"i": i, "prime": p, "seed": cell_seed}
             if out.kind == "ok":
                 cell.update(out.result)
@@ -348,13 +334,15 @@ def _cell_table(kind, problem, seed: int, keys, timeout_s, run,
                 if out.message:
                     cell["message"] = out.message
             cell["elapsed"] = round(out.elapsed, 3)
-            done[key] = cell
-            _save_checkpoint(checkpoint, header, done)
-        cells.append(done[key])
+            if out.kind in ("ok", "degenerate"):
+                done[key] = cell
+                _save_checkpoint(checkpoint, header, done)
+        cells.append(cell)
     return CellTable(kind, problem.name, seed, tuple(cells))
 
 
-def gi_table(problem, i_list, prime_list, seed: int, timeout_s="auto",
+def gi_table(problem, i_list, prime_list, seed: int,
+             timeout_s: Optional[float] = None,
              checkpoint: Optional[str] = None) -> CellTable:
     """One randomized g_i per (i, p) cell; long sweeps are resumable.
 
@@ -368,7 +356,7 @@ def gi_table(problem, i_list, prime_list, seed: int, timeout_s="auto",
 
 
 def hilbert_table(problem, i_list, p: int, d_max: int, seed: int,
-                  timeout_s="auto") -> CellTable:
+                  timeout_s: Optional[float] = None) -> CellTable:
     """Affine Hilbert function rows, one per i, at a single prime, read
     off the grevlex leading ideal whatever the problem's order."""
 

@@ -118,6 +118,13 @@ def conics_pstar_system() -> list:
     return [inst.ring.combine(row, inst.polys) for row in PSTAR]
 
 
+@lru_cache(maxsize=None)
+def conics_pstar_problem() -> ProblemInstance:
+    """conics_pstar_system() as a problem, with no declared base locus."""
+    polys = conics_pstar_system()
+    return ProblemInstance("conics-pstar", polys[0].ring, tuple(polys))
+
+
 # 18 quadratic-column monomials that select an invertible submatrix for
 # the conics certification system.
 CONICS_CERT_MONOMIALS = (
@@ -256,10 +263,12 @@ def verify_base_locus(inst: ProblemInstance) -> BaseLocusReport:
     return BaseLocusReport(not failures, tuple(failures), checked)
 
 
+# in the order `satura problems list` prints them
 PROBLEMS = {
-    "monomial-example": example_monomial_system,
-    "conics-affine": conics_affine_system,
     "alt": alt_system,
+    "conics-affine": conics_affine_system,
+    "monomial-example": example_monomial_system,
+    "conics-pstar": conics_pstar_problem,
 }
 
 _ALIASES = {"monomial": "monomial-example", "conics": "conics-affine"}
@@ -271,5 +280,5 @@ def get_problem(name: str) -> ProblemInstance:
         return PROBLEMS[key]()
     except KeyError:
         raise ValueError(
-            f"unknown problem {name!r}; available: {', '.join(sorted(PROBLEMS))}"
+            f"unknown problem {name!r}; available: {', '.join(PROBLEMS)}"
         ) from None

@@ -243,7 +243,7 @@ def test_bad_threads_env_exits_2(capsys, monkeypatch):
 
 
 def test_timeout_zero_runs_uncapped(capsys, monkeypatch):
-    # only a missing --timeout-s means the per-i default cap; 0 is no cap
+    # a missing --timeout-s and 0 both run uncapped
     seen = []
 
     def fake_run_trials(*args, timeout_s, **kwargs):
@@ -255,7 +255,7 @@ def test_timeout_zero_runs_uncapped(capsys, monkeypatch):
         code, _, _ = run(capsys, "trials", "--problem", "alt", "--i", "6",
                          "--prime", "32771", "--trials", "2", *extra)
         assert code == 2
-    assert seen == [0.0, 5.0, "auto"]
+    assert seen == [0.0, 5.0, None]
 
 
 def test_bounds_degrees_shortcut(capsys):
@@ -425,6 +425,31 @@ def test_bad_prime_exits_2_before_any_cell(capsys, tmp_path, command, extra, pri
                          "--prime", prime, *extra, *ck)
     assert code == 2 and "--prime" in err and out == ""
     assert not (tmp_path / "ck.json").exists()
+
+
+@pytest.mark.parametrize("command, extra, i", [
+    ("gi", ("--prime", "32771"), "7,9"),
+    ("gi", ("--prime", "32771"), "-1"),
+    ("hilbert", ("--prime", "32771"), "8"),
+    ("trials", ("--prime", "32771", "--trials", "3", "--threads", "1"), "9")],
+    ids=["gi list", "gi negative", "hilbert", "trials"])
+def test_bad_index_exits_2_before_any_cell(capsys, tmp_path, command, extra, i):
+    # alt has n = 8, so i runs over 0..7
+    ck = ("--checkpoint", str(tmp_path / "ck.json")) if command == "gi" else ()
+    code, out, err = run(capsys, command, "--problem", "alt", "--i", i,
+                         *extra, *ck)
+    assert code == 2 and out == ""
+    assert err.startswith("error: --i: i must lie in [0, 7]")
+    assert not (tmp_path / "ck.json").exists()
+
+
+def test_conics_pstar_is_a_problem():
+    inst = satura.get_problem("conics-pstar")
+    assert inst is satura.get_problem("conics-pstar")
+    assert (inst.name, inst.n, inst.r, inst.base_locus) == ("conics-pstar", 6, 6, ())
+    assert list(inst.polys) == satura.conics_pstar_system()
+    with pytest.raises(ValueError, match="conics-pstar"):
+        satura.get_problem("missing")
 
 
 def test_prime_too_small_for_the_system_is_an_error_cell(capsys):

@@ -10,8 +10,8 @@ import pytest
 from satura.arith import QQ, prime_field
 from satura.groebner import F4Trace
 from satura.harness import (REFERENCE_VALUES, CellTable, TrialReport,
-                            _resolve_timeout, default_threads, gi_table,
-                            hilbert_table, run_capped, run_trials)
+                            default_threads, gi_table, hilbert_table,
+                            run_capped, run_trials)
 from satura.problems import (ProblemInstance, alt_system,
                              conics_affine_system, example_monomial_system,
                              get_problem)
@@ -102,25 +102,17 @@ def test_interrupted_learning_keeps_the_old_record():
     assert trace.last == "replayed"
 
 
-def test_auto_cap_starts_at_g6():
-    # a 60 s cap made g5's cell flip between 234 and "-" when it took
-    # 31-65 s (2-4 s on a 2-core box now), so it stays uncapped like the
-    # smaller i
-    assert [_resolve_timeout("auto", i) for i in (0, 4, 5, 6, 7)] \
-        == [None, None, None, 60.0, 60.0]
-    assert _resolve_timeout(2.5, 5) == 2.5
-    assert _resolve_timeout(None, 7) is None
-
-
 def test_caps_work_off_the_main_thread():
-    # the engine checks its own deadline, so the default caps of i >= 6
-    # give a thread the main thread's buckets and cells
+    # the engine checks its own deadline, so a capped run in a thread
+    # gives the main thread's buckets and cells
     alt = alt_system()
 
     def run():
-        return (strip_timing(run_trials(alt, 7, 32771, 2, 1, threads=1)),
-                strip_elapsed(gi_table(alt, [7], [32771], 1)),
-                strip_elapsed(hilbert_table(alt, [7], 32771, 4, 1)))
+        return (strip_timing(run_trials(alt, 7, 32771, 2, 1, threads=1,
+                                        timeout_s=60)),
+                strip_elapsed(gi_table(alt, [7], [32771], 1, timeout_s=60)),
+                strip_elapsed(hilbert_table(alt, [7], 32771, 4, 1,
+                                            timeout_s=60)))
     got = []
     worker = threading.Thread(target=lambda: got.append(run()))
     worker.start()
@@ -190,6 +182,20 @@ def test_gi_table_values_and_checkpoint(tmp_path):
     fresh = gi_table(inst, [1, 0], [32003, 32771], seed=2024)
     assert strip_elapsed(fresh) == strip_elapsed(full)
     assert json.loads(full.to_json())["kind"] == "gi_table"
+
+
+def test_checkpoint_reruns_unfinished_cells(tmp_path):
+    # a cap already past times out however fast the engine is; the
+    # checkpoint keeps no such cell, so an uncapped rerun counts it
+    alt, ck = alt_system(), str(tmp_path / "cells.json")
+    capped = gi_table(alt, [7], [32771], 2024, timeout_s=1e-9, checkpoint=ck)
+    assert capped.cells[0]["outcome"] == "timeout"
+    assert not os.path.exists(ck)
+    rerun = gi_table(alt, [7], [32771], 2024, checkpoint=ck)
+    assert rerun.value(i=7, prime=32771) == 7 and rerun.failures == 0
+    # the finished cell is saved, and a resume reads it back unchanged
+    assert gi_table(alt, [7], [32771], 2024, timeout_s=1e-9,
+                    checkpoint=ck).cells == rerun.cells
 
 
 def test_gi_table_checkpoint_identity(tmp_path):

@@ -1,7 +1,11 @@
-"""Every name a module imports is used by that module, and every private
-top-level name of the package is read somewhere in the package."""
+"""Every name a module imports is used by that module, every private
+top-level name of the package is read somewhere in the package, and
+importing the package loads no process pool."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -77,3 +81,15 @@ def test_unread_private_names_are_found():
 def test_no_unread_private_names():
     sources = {p.name: p.read_text() for p in SOURCES}
     assert unread_private_names(sources) == []
+
+
+def test_import_loads_no_process_pool():
+    # only a pooled trial batch needs multiprocessing, which would slow
+    # every import
+    src = str(Path(satura.__file__).parents[1])
+    code = "import sys, satura; print('multiprocessing' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
