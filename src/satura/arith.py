@@ -229,6 +229,21 @@ class PackedEchelon:
             row.byteswap()
         return int.from_bytes(row, "little")
 
+    def pack_residues(self, values) -> int:
+        """The row whose slot k holds values[k], each a residue."""
+        row = array(self.code, bytes(self.nbytes * len(values)))
+        row[::self.q] = array(self.code, values)
+        if _BIG_ENDIAN:
+            row.byteswap()
+        return int.from_bytes(row, "little")
+
+    def residues(self, row: int, n: int) -> array:
+        """Slots 0..n-1 of a row whose slots are residues."""
+        items = array(self.code, row.to_bytes(self.nbytes * n, "little"))
+        if _BIG_ENDIAN:
+            items.byteswap()
+        return items[::self.q]
+
     def entries(self, row: int) -> list:
         """(column, residue) of the nonzero slots of a row, ascending."""
         p, b = self.p, self.nbytes
@@ -260,6 +275,22 @@ class PackedEchelon:
                 return k
             row += (p - c) * tail
         return None
+
+    def reduce(self, entries) -> list:
+        """Full reduction: the row of (column, int) entries, each column at
+        most once, with every pivot column cleared, not only the top one,
+        as (column, residue) entries, ascending.  The pivot tails must
+        hold no pivot column, as they do once each was packed from this
+        in ascending column order."""
+        p, pivots = self.p, self.pivots
+        free, acc = [], 0
+        for k, c in entries:
+            tail = pivots.get(k)
+            if tail is None:
+                free.append((k, c))
+            else:
+                acc += (p - c % p) * tail
+        return self.entries(self.pack(free) + acc)
 
 
 def primitive_scale(coeffs) -> Fraction:

@@ -64,6 +64,22 @@ other counts of standard monomials read nothing else.
 width tried, and runs the same steps: `saturate` counts g_i without
 building a `Polynomial`.
 
+Over F_p in a degree order the main loop stops once it can prove the
+live set final, which spares the last matrices of a run: they add no
+leading monomial and all their rows vanish.  When a matrix adds a lead
+and the live leads hold a pure power of every variable, they leave D
+standard monomials O, and `_certify` tries the border basis criterion
+(Mourrain, AAECC-13, 1999; Kreuzer and Robbiano, Computational
+Commutative Algebra 2, 6.4).  One packed matrix reduces every border
+term x_j o outside O to O by full reduction (`PackedEchelon.reduce`),
+which gives multiplication matrices M_j of size D; if they commute and
+every main-loop input f has f(M) e_1 = 0, the live set is a Groebner
+basis and the queued pairs are left (`GroebnerStats.pairs_certified`).
+`buchberger`, `leading_ideal` and `packed_leading_ideal` all stop
+there, and the final interreduction is unchanged, so bases, leading
+ideals and counts are those of the full loop.  A trace replay certifies
+its own draw and runs in full when the certificate refuses.
+
 Draws of one batch often run the same F4 computation with other
 coefficients.  An `F4Trace` records a full F_p run matrix by matrix
 (S-pairs, reducer rows, sorted columns, new leading columns), and
@@ -77,9 +93,9 @@ mismatch reruns in full, so the basis is bit-identical either way.
 A `deadline` caps the engine's work in the current context (a thread,
 say) by wall clock.  The engine checks it on entry, once per main-loop
 batch, per F4 row packed or inserted, per generator of an
-autoreduction round and, over Q, per normal-form step and per
-coefficient made primitive, and raises TimeoutError at the first check
-past it.
+autoreduction round, per border row, checked column and input of a
+certificate and, over Q, per normal-form step and per coefficient made
+primitive, and raises TimeoutError at the first check past it.
 """
 
 import heapq
@@ -90,7 +106,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from operator import lshift
+from operator import itemgetter, lshift, mul
 
 from .arith import PackedEchelon, primitive_scale
 from .poly import Polynomial, PolyRing, mono_divides, mono_lcm
@@ -491,6 +507,115 @@ def _f4_matrix(spolys, cols, index, reducers, p: int, stats):
     return leads, rows
 
 
+def _certify(live, inputs, codec: _Codec, p: int) -> bool:
+    """Border basis certificate over F_p: whether the live generators,
+    given as reducer records in index order, whose leads hold a pure
+    power of every variable, are a Groebner basis of the inputs' ideal.
+
+    O is the set of standard monomials of the live leads, D of them, and
+    the border the x_j o outside O.  One packed matrix reduces every
+    border term b to NF(b) on O, with O in its D lowest columns; M_j maps
+    o to x_j o, or to NF(x_j o) on the border.  Commuting M_j make the
+    b - NF(b) a border basis of an ideal J inside the live set's ideal,
+    with R/J of dimension D (Mourrain, AAECC-13, LNCS 1719, 1999; Kreuzer
+    and Robbiano, Computational Commutative Algebra 2, 6.4); f(M) e_1 = 0
+    for every input f puts the inputs' ideal I inside J.  Then I = J, and
+    the live leads, which lie in LT(I), leave as many standard monomials
+    as I does: they generate LT(I).  M_i and M_j commute on o whenever
+    x_i o and x_j o both lie in O, so only the other columns are checked.
+    """
+    find, n = _scan(live, codec), codec.n
+    steps = [codec.pack(tuple(int(j == k) for k in range(n))) - codec.one
+             for j in range(n)]
+    slot, basis, border = {codec.one: 0}, [codec.one], set()
+    for o in basis:  # O grows from 1 by the variables
+        for s in steps:
+            m = o + s
+            if m not in slot and m not in border:
+                if find(m) is None:
+                    slot[m] = len(basis)
+                    basis.append(m)
+                else:
+                    border.add(m)
+    D = len(basis)
+    cols, _, reducers = _preprocess([border], find, codec.guards)
+    index = dict(slot)  # O first, then the other columns ascending
+    for m in cols:
+        index.setdefault(m, len(index))
+    # a vector on O is packed, slots reduced: o is the unit vector at o's
+    # slot, NF(b) of a border term b minus b's reduced row tail
+    ech = PackedEchelon(p, len(index))
+    w = ech.width
+    vec = {o: 1 << k * w for o, k in slot.items()}
+    for k, (_, _, tail), shift in sorted(reducers, key=lambda r: r[0]):
+        _check_deadline()
+        tail = ech.reduce((index[tm + shift], c) for tm, c in tail)
+        ech.pivots[index[cols[k]]] = ech.pack(tail)
+        if cols[k] in border:
+            vec[cols[k]] = ech.pack((j, -c) for j, c in tail)
+    # per variable j: column k of M_j, x_j o_k's vector, and M_j as a
+    # gather of the slots that x_j moves inside O (slot D reads as 0) plus
+    # the columns on the border
+    column = [[vec[o + s] for o in basis] for s in steps]
+    shifted = [[slot.get(o + s) for o in basis] for s in steps]
+    moves = []
+    for s, to in zip(steps, shifted):
+        src = [D] * D
+        for k, t in enumerate(to):
+            if t is not None:
+                src[t] = k
+        edge = [k for k, t in enumerate(to) if t is None]
+        moves.append((itemgetter(*src, D), edge, [vec[basis[k] + s] for k in edge]))
+
+    def times(j, x):
+        """M_j x for a vector x, slots unreduced."""
+        gather, edge, nf = moves[j]
+        v = ech.residues(x, D + 1)
+        return ech.pack_residues(gather(v)) + sum(map(mul, [v[k] for k in edge], nf))
+
+    # x is 0 mod p in every slot exactly when p divides it and every slot
+    # of the quotient x / p stays below 2^t, t = w - bitlen(p): then p
+    # times it carries into no slot.  Slots below 2 (D + 1) p^2 pass when
+    # they vanish.  M_i M_j e_o - M_j M_i e_o is checked as
+    # M_i M_j e_o + (K - M_j M_i e_o), with (D + 1) p^2 per slot of K.
+    t = w - p.bit_length()
+    high, K = (int.from_bytes(x.to_bytes(ech.nbytes, "little") * D, "little")
+               for x in ((1 << w) - (1 << t), (D + 1) * p * p))
+
+    def vanishes(x):
+        q, r = divmod(x, p)
+        return not r and not q & high
+
+    for i in range(n):
+        for j in range(i):
+            for k in range(D):
+                a, b = shifted[i][k], shifted[j][k]
+                if a is None or b is None:
+                    _check_deadline()
+                    left = column[i][b] if b is not None else times(i, column[j][k])
+                    right = column[j][a] if a is not None else times(j, column[i][k])
+                    if not vanishes(left + K - right):
+                        return False
+
+    for f in inputs:
+        _check_deadline()
+        acc = 0
+        for k, (m, c) in enumerate(f.items(), 1):
+            chain = []
+            while m not in vec:  # m(M) e_1 is M_j applied to (m / x_j)(M) e_1
+                j = next(j for j, e in enumerate(codec.unpack(m)) if e)
+                chain.append((m, j))
+                m -= steps[j]
+            for m, j in reversed(chain):
+                vec[m] = ech.pack(ech.entries(times(j, vec[m - steps[j]])))
+            acc += c * vec[m]
+            if not k % D:  # keep the slots below 2 D products
+                acc = ech.pack(ech.entries(acc))
+        if not vanishes(acc):
+            return False
+    return True
+
+
 @dataclass
 class GroebnerStats:
     """What one `buchberger` call did, counted per pair, never per term.
@@ -504,7 +629,10 @@ class GroebnerStats:
     F_p a whole batch is, as the S-polynomial rows of one matrix, and a
     row vanishes when it lies in the span of the reducer rows and the
     rows before it.  matrices, matrix_rows and matrix_columns total the
-    F_p batches (0 over Q).  linear_set_aside generators ran outside the
+    F_p batches (0 over Q).  certificates counts the border basis
+    certificates tried, and pairs_certified the pairs still queued when
+    one stopped the loop, so that every pair created is pruned, reduced
+    or certified.  linear_set_aside generators ran outside the
     main loop, which worked in reduced_nvars variables with exponent
     fields width bits wide.
     """
@@ -520,6 +648,8 @@ class GroebnerStats:
     matrices: int = 0
     matrix_rows: int = 0
     matrix_columns: int = 0
+    pairs_certified: int = 0
+    certificates: int = 0
 
 
 class GroebnerBasis:
@@ -633,17 +763,22 @@ class F4Trace:
     inputs whose main loop starts from the same leading monomials.
 
     `record` is None until a full run through `buchberger(gens, trace)`
-    completes, and each later full run replaces it.  `last` says how the
-    latest such call computed its basis: "learned" (the trace held no
-    record), "replayed", or "fallback" (the record did not fit, and a
-    full run replaced it); None when the call ran no F_p main loop.
+    completes, and it ends at the matrix where a certificate stopped
+    that run.  A full run after a fallback replaces it only when the
+    full run before also missed it (`missed`), so one unusual draw does
+    not evict the usual record.  `last` says how the latest such call
+    computed its basis: "learned" (the trace held no record),
+    "replayed", or "fallback" (the record did not fit, or its
+    certificate refused this draw, and a full run computed it); None
+    when the call ran no F_p main loop.
     """
 
-    __slots__ = ("record", "last")
+    __slots__ = ("record", "last", "missed")
 
     def __init__(self):
         self.record = None
         self.last = None
+        self.missed = False
 
 
 def buchberger(gens, trace=None) -> GroebnerBasis:
@@ -714,11 +849,15 @@ def _run(ring: PolyRing, pack, trace, finish):
 
 def _at_width(ring: PolyRing, pack, width: int, trace, finish):
     """One `_run` attempt; a learned F4 record goes to the trace only once
-    finish has returned."""
+    finish has returned, and after a fallback only if the last full run
+    missed the record too."""
     stats, main, record = _main_phase(pack, ring, width, trace)
     result = finish(ring, stats, main)
     if record is not None:
-        trace.record = record
+        if trace.last == "fallback" and not trace.missed:
+            trace.missed = True
+        else:
+            trace.record, trace.missed = record, False
     return result
 
 
@@ -786,10 +925,10 @@ def _main_phase(pack, ring: PolyRing, width: int, trace):
         old = trace.record
         if old is not None and old[0] == key:
             counted = replace(stats)
-            live = _replay(inputs, old, mod, codec.guards, counted)
+            live = _replay(inputs, old, mod, codec, counted)
         if live is not None:
             stats = counted
-            trace.last = "replayed"
+            trace.last, trace.missed = "replayed", False
         else:
             trace.last = "learned" if old is None else "fallback"
     if live is None:
@@ -852,10 +991,12 @@ def _main_loop(inputs, codec: _Codec, mod, stats, key):
     Returns (live, record): the live generators at the end, or None for
     the unit ideal, and with a key (F_p only) the run's record for an
     `F4Trace`, else None.  The record is (key, matrices, final live
-    indices, pair counters); a matrix is (pairs as (i, j, lcm), reducers
-    as (column, generator index, shift), columns, column index, new
-    leading columns, generators whose reducer record it dropped).
-    Generators are numbered in the order they are added.
+    indices, pair and certificate counters); a matrix is (pairs as
+    (i, j, lcm), reducers as (column, generator index, shift), columns,
+    column index, new leading columns, generators whose reducer record
+    it dropped).  Generators are numbered in the order they are added.
+    Over F_p in a degree order the loop also ends when `_certify`
+    proves the live set a Groebner basis.
     """
     guards, sign, one = codec.guards, codec.sign, codec.one
     learned = None if key is None else []
@@ -869,6 +1010,7 @@ def _main_loop(inputs, codec: _Codec, mod, stats, key):
     lm_tuples = []
     live = []       # ascending indices forming the current minimal working basis
     pairs = {}      # (i, j) -> (lcm degree, packed lcm)
+    pure = set()    # variables with a pure power among the live leads
 
     def unqueue(ij):
         del pairs[ij]
@@ -888,6 +1030,8 @@ def _main_loop(inputs, codec: _Codec, mod, stats, key):
         lt_tuple = codec.unpack(lt_packed)
         lm_tuples.append(lt_tuple)
         deg_t = sum(lt_tuple)
+        if deg_t and deg_t == max(lt_tuple):  # a pure power: it stays covered
+            pure.add(lt_tuple.index(deg_t))
 
         cand = []
         for i in live:
@@ -979,15 +1123,24 @@ def _main_loop(inputs, codec: _Codec, mod, stats, key):
             # those of generators it added
             had += range(t0, len(keys))
             learned[-1] += (tuple(k for k in had if k not in prepared),)
+        # F_p in a degree order, whose tails stay within their lead's
+        # degree: once the live leads leave finitely many standard
+        # monomials, a certificate can prove the live set final
+        if new and mod and pairs and len(pure) == codec.n and codec.degshift:
+            stats.certificates += 1
+            if _certify([prepared[i] for i in live], inputs, codec, mod):
+                stats.pairs_certified = len(pairs)
+                break
 
     record = None
     if learned is not None:
         record = (key, tuple(learned), tuple(live), (
-            stats.pairs_created, stats.pairs_pruned_new, stats.pairs_pruned_chain))
+            stats.pairs_created, stats.pairs_pruned_new, stats.pairs_pruned_chain,
+            stats.pairs_certified, stats.certificates))
     return [polys[k] for k in live], record
 
 
-def _replay(inputs, record, p: int, guards: int, stats):
+def _replay(inputs, record, p: int, codec: _Codec, stats):
     """The main loop of `_main_loop`'s record on inputs with the record's
     leading monomials, over F_p: each recorded matrix is built straight
     from its pairs, reducers and columns, with no pair update or reducer
@@ -1001,8 +1154,11 @@ def _replay(inputs, record, p: int, guards: int, stats):
     monomials, so a replay that returns reduces each S-row by the same
     reducer rows as the full run would, and gives the same generators;
     its matrices may hold other rows and columns, which no row reaches.
+    A record that a certificate ended is certified again on these
+    inputs, and a refusal returns None too.
     """
     _, matrices, live, counts = record
+    guards = codec.guards
     prepared = {t: _prepare(d, p) for t, d in enumerate(inputs)}
     polys = {t: d for t, d in enumerate(inputs) if t in live}
     t = len(inputs)
@@ -1023,7 +1179,10 @@ def _replay(inputs, record, p: int, guards: int, stats):
             t += 1
         for g in free:
             del prepared[g]
-    stats.pairs_created, stats.pairs_pruned_new, stats.pairs_pruned_chain = counts
+    if counts[3] and not _certify([prepared[k] for k in live], inputs, codec, p):
+        return None
+    (stats.pairs_created, stats.pairs_pruned_new, stats.pairs_pruned_chain,
+     stats.pairs_certified, stats.certificates) = counts
     return [polys[k] for k in live]
 
 

@@ -673,9 +673,9 @@ def test_trace_record_of_another_system_falls_back():
     assert trace.last == "learned" and trace.record[1]
     old = trace.record
     assert_traced_run_is_full_f4(same_leads[1], trace)
-    assert trace.last == "fallback"
-    assert trace.record is not old and trace.record[0] == old[0]
-    # other leading monomials: the key does not fit
+    assert trace.last == "fallback" and trace.record is old
+    # other leading monomials: the key does not fit, and the second full
+    # run in a row that misses the record replaces it
     assert_traced_run_is_full_f4([R.parse("x^3 - y*z"), R.parse("y^2 - x")],
                                  trace)
     assert trace.last == "fallback" and trace.record[0] != old[0]
@@ -737,8 +737,9 @@ def test_deadline_raises_timeout_error():
 def test_deadline_is_checked_at_every_site(monkeypatch):
     # the engine functions that reach the check, and how often: once on
     # entry, per main-loop batch, per F4 row packed or inserted (replays
-    # too), per generator of an autoreduction round, and over Q per
-    # normal-form step and per coefficient in both passes of making a
+    # too), per generator of an autoreduction round, in the border basis
+    # certificate per border row, checked column and input, and over Q
+    # per normal-form step and per coefficient in both passes of making a
     # remainder primitive
     seen, check = Counter(), groebner._check_deadline
 
@@ -750,7 +751,7 @@ def test_deadline_is_checked_at_every_site(monkeypatch):
     for seed in (2024, split_seed(2024, 1)):  # learned, then replayed
         seen.clear()
         stats = compute_gi(alt, 6, prime_field(32771), seed, trace).stats
-        assert seen.pop("_autoreduce") > 0
+        assert seen.pop("_autoreduce") > 0 and seen.pop("_certify") > 0
         expected = {"_run": 1, "_f4_matrix": stats.matrix_rows}
         if trace.last != "replayed":
             expected["_main_loop"] = stats.matrices

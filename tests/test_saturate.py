@@ -323,33 +323,37 @@ ALT_BASIS_DIGESTS = {
 def test_alt_cell_engine_counts(p):
     # the F4 batches of the alt g7/g6 cells, pinned at seed 2024 and the
     # benchmark's two split seeds: (i, S-pairs reduced, to zero, matrices,
-    # linear generators set aside, variables left)
+    # pairs left when the certificate stopped the loop, linear generators
+    # set aside, variables left)
     alt, field = alt_system(), prime_field(p)
     for k, seed in enumerate((2024, split_seed(2024, 1), split_seed(2024, 2))):
-        for i, spairs, zero, matrices, linear, nvars, pairs in (
-                (7, 14, 4, 11, 7, 2, (25, 10, 1)),
-                (6, 162, 79, 24, 6, 3, (1260, 1059, 39))):
+        for i, spairs, zero, matrices, certified, linear, nvars, pairs in (
+                (7, 12, 2, 9, 2, 7, 2, (25, 10, 1)),
+                (6, 137, 54, 20, 25, 6, 3, (1260, 1059, 39))):
             params = draw_parameters(i, alt.n, alt.r, field, seed)
             gb = buchberger(build_saturated_system(alt, params).generators)
             assert basis_digest(gb) == ALT_BASIS_DIGESTS[p][k][7 - i]
             st = gb.stats
             assert (st.spairs_reduced, st.zero_reductions) == (spairs, zero)
             assert st.matrices == matrices
+            assert (st.pairs_certified, st.certificates) == (certified, 1)
             assert st.matrix_rows > spairs and st.matrix_columns > 0
             assert (st.linear_set_aside, st.reduced_nvars) == (linear, nvars)
             assert st.width == 8
             # pairs created, pruned by the new-pair criteria, by the chain
-            # criterion; every pair created was pruned or reduced
+            # criterion; every pair created was pruned, reduced or left
+            # to the certificate
             assert (st.pairs_created, st.pairs_pruned_new,
                     st.pairs_pruned_chain) == pairs
-            assert st.pairs_created == (st.pairs_pruned_new
-                                        + st.pairs_pruned_chain + spairs)
+            assert st.pairs_created == (st.pairs_pruned_new + st.pairs_pruned_chain
+                                        + spairs + certified)
 
 
 @pytest.mark.parametrize("p", (32771, 1073741789))
 def test_alt_g6_replays_give_the_pinned_bases_and_counts(p):
-    # a trace learned at seed 2024 replays the two split seeds: the same
-    # bases and S-pair, zero-row and matrix counts as full F4
+    # a trace learned at seed 2024 replays the two split seeds, each
+    # certified on its own draw: the same bases and S-pair, zero-row,
+    # matrix and certificate counts as full F4
     alt, field, trace = alt_system(), prime_field(p), F4Trace()
     for k, seed in enumerate((2024, split_seed(2024, 1), split_seed(2024, 2))):
         params = draw_parameters(6, alt.n, alt.r, field, seed)
@@ -357,9 +361,10 @@ def test_alt_g6_replays_give_the_pinned_bases_and_counts(p):
         assert trace.last == ("replayed" if k else "learned")
         assert basis_digest(gb) == ALT_BASIS_DIGESTS[p][k][1]
         st = gb.stats
-        assert (st.spairs_reduced, st.zero_reductions, st.matrices) == (162, 79, 24)
+        assert (st.spairs_reduced, st.zero_reductions, st.matrices,
+                st.pairs_certified, st.certificates) == (137, 54, 20, 25, 1)
         assert st.pairs_created == (st.pairs_pruned_new
-                                    + st.pairs_pruned_chain + 162)
+                                    + st.pairs_pruned_chain + 137 + 25)
 
 
 # the same digests of the conics g0..g5 bases over F_32003 at seed 2024
