@@ -20,7 +20,9 @@ import sys
 from array import array
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 from math import gcd, lcm
+from operator import add, mul
 
 MODULUS_BITS = 62  # products of two residues must fit comfortably in a double word
 
@@ -197,16 +199,20 @@ class PackedEchelon:
     and stored as its tail, slots reduced mod p.  One step against pivot
     tail t for pending leading entry c adds (p - c) * t and drops the top
     slot: one C-level multiply-add on the whole row.  Slots never go
-    negative, and a row gets at most ncols steps that add less than p^2
-    each, so a width of 2*bitlen(p) + bitlen(ncols) + 2 bits keeps every
-    slot below 2^width and no carry crosses into the next slot.  Slots
-    are reduced mod p only when read.  `pack` writes a residue as one
-    item of a typed array whose items hold p, so the width is rounded up
-    to whole items of that size (48 bits for p = 32771 and fewer than
-    2^14 columns, 96 bits for p = 1073741789).
+    negative.  A row enters with slots below p^2 (residues, or a residue
+    row plus p - 1 times another) and takes at most ncols steps that add
+    less than p^2 each, so its slots stay below (ncols + 1) p^2: a width
+    of 2*bitlen(p) + bitlen(ncols) + 2 bits keeps every slot below
+    2^width and no carry crosses into the next slot.  Slots are reduced
+    mod p only when read.  `pack` writes a residue as one item of a typed
+    array whose items hold p, so the width is rounded up to whole items
+    of that size (48 bits for p = 32771 and fewer than 2^14 columns, 96
+    bits for p = 1073741789); `slots` reads a slot's q items back and
+    folds them with their place values mod p.
     """
 
-    __slots__ = ("p", "ncols", "code", "q", "nbytes", "width", "pivots")
+    __slots__ = ("p", "ncols", "code", "q", "nbytes", "width", "pivots",
+                 "places")
 
     def __init__(self, p: int, ncols: int):
         self.p, self.ncols = p, ncols
@@ -217,14 +223,20 @@ class PackedEchelon:
         self.q = -(-nbytes // u)
         self.nbytes = u * self.q
         self.width = 8 * self.nbytes
+        self.places = [pow(2, 8 * u * t, p) for t in range(self.q)]
         self.pivots = {}   # leading column -> packed tail of the monic row
 
-    def pack(self, entries) -> int:
-        """The row of (column, int) entries, each column at most once."""
-        p, q = self.p, self.q
+    def pack(self, terms, index=None, shift=0) -> int:
+        """The row holding residue c in column k for each (k, c) of terms,
+        or with an index in column index[k + shift]; each column once."""
+        q = self.q
         row = array(self.code, bytes(self.nbytes * self.ncols))
-        for k, c in entries:
-            row[k * q] = c % p
+        if index is None:
+            for k, c in terms:
+                row[k * q] = c
+        else:
+            for k, c in terms:
+                row[index[k + shift] * q] = c
         if _BIG_ENDIAN:
             row.byteswap()
         return int.from_bytes(row, "little")
@@ -244,17 +256,22 @@ class PackedEchelon:
             items.byteswap()
         return items[::self.q]
 
+    def slots(self, row: int) -> list:
+        """Every slot of a row reduced mod p, from slot 0 up to its
+        highest nonzero one."""
+        q, p = self.q, self.p
+        n = -(-row.bit_length() // self.width)
+        items = array(self.code, row.to_bytes(self.nbytes * n, "little"))
+        if _BIG_ENDIAN:
+            items.byteswap()
+        acc = items[::q]
+        for t in range(1, q):
+            acc = map(add, acc, map(mul, items[t::q], repeat(self.places[t])))
+        return [x % p for x in acc]
+
     def entries(self, row: int) -> list:
         """(column, residue) of the nonzero slots of a row, ascending."""
-        p, b = self.p, self.nbytes
-        nslots = -(-row.bit_length() // self.width)
-        raw = row.to_bytes(b * nslots, "little")
-        out = []
-        for k in range(nslots):
-            c = int.from_bytes(raw[k * b:(k + 1) * b], "little") % p
-            if c:
-                out.append((k, c))
-        return out
+        return [(k, c) for k, c in enumerate(self.slots(row)) if c]
 
     def insert(self, row: int):
         """Reduce a packed row against the pivots; register it monic and
@@ -271,17 +288,18 @@ class PackedEchelon:
             tail = pivots.get(k)
             if tail is None:
                 inv = pow(c, -1, p)
-                pivots[k] = self.pack((j, x * inv) for j, x in self.entries(row))
+                pivots[k] = self.pack_residues(
+                    [x * inv % p for x in self.slots(row)])
                 return k
             row += (p - c) * tail
         return None
 
     def reduce(self, entries) -> list:
-        """Full reduction: the row of (column, int) entries, each column at
-        most once, with every pivot column cleared, not only the top one,
-        as (column, residue) entries, ascending.  The pivot tails must
-        hold no pivot column, as they do once each was packed from this
-        in ascending column order."""
+        """Full reduction: the row of (column, residue) entries, each
+        column at most once, with every pivot column cleared, not only the
+        top one, as (column, residue) entries, ascending.  The pivot tails
+        must hold no pivot column, as they do once each was packed from
+        this in ascending column order."""
         p, pivots = self.p, self.pivots
         free, acc = [], 0
         for k, c in entries:
@@ -289,7 +307,7 @@ class PackedEchelon:
             if tail is None:
                 free.append((k, c))
             else:
-                acc += (p - c % p) * tail
+                acc += (p - c) * tail
         return self.entries(self.pack(free) + acc)
 
 

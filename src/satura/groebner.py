@@ -10,7 +10,8 @@ arithmetic; exponent tuples only appear at the API boundary.
 pairs off the queue, reduces their S-polynomials and hands every
 nonzero result to the pair update.  Over F_p the batch is every pair of
 the lowest lcm degree, reduced at once as in F4 (Faugere, JPAA 139,
-1999): symbolic preprocessing adds a shifted generator for every
+1999): each pair enters as its two shifted generators, not as an
+S-polynomial, symbolic preprocessing adds a shifted generator for every
 reducible monomial, and one echelon pass runs on `PackedEchelon` rows,
 which pack each coefficient into a fixed-width slot of one int so that
 a row update is one C-level multiply-add.  Over Q the batch is the one
@@ -443,15 +444,16 @@ def _substitute(d: dict, linear, mod, codec: _Codec) -> dict:
     return d
 
 
-def _preprocess(spolys, find, guards: int):
+def _preprocess(start, find, guards: int):
     """Symbolic preprocessing for one F4 matrix over F_p: a reducer (a
     shifted generator, from find) for every monomial of the matrix that a
-    live leading monomial divides.  Returns the columns (the monomials,
-    ascending), their index and the reducers as (column, record, shift).
+    live leading monomial divides, from the monomials start on.  Returns
+    the columns (the monomials, ascending), their index and the reducers
+    as (column, record, shift).
     """
-    monos = set()
-    for s in spolys:
-        monos.update(s)
+    monos = set(start)
+    if any(m & guards for m in monos):
+        raise OverflowError("exponent exceeds packing width")
     todo = list(monos)
     found = []
     while todo:
@@ -473,31 +475,54 @@ def _preprocess(spolys, find, guards: int):
     return cols, index, [(index[m], rec, shift) for m, rec, shift in found]
 
 
-def _f4_matrix(spolys, cols, index, reducers, p: int, stats):
-    """F4's linear algebra over F_p for one batch of S-polynomials: each
-    S-row is reduced against the reducer rows and the S-rows before it in
-    one echelon pass.
+def _f4_matrix(spairs, cols, index, reducers, p: int, stats, guards: int):
+    """F4's linear algebra over F_p for one batch of pairs (f, g, L) of
+    monic reducer records at their lcm L: each S-row is reduced against
+    the reducer rows and the S-rows before it in one echelon pass.
+
+    An S-row is built from the shifted generators u f and v g, whose
+    leads are L.  When the reducer row of L's column is u f, the row is
+    v g: the echelon's step at L subtracts u f and leaves -S(f, g);
+    likewise with f and g swapped.  Otherwise the row is u tail(f) plus
+    (p - 1) v tail(g), which is S(f, g) mod p.  Each reduces as S(f, g)
+    would.
 
     Returns the leading columns of the rows that do not vanish, in
     descending order, and those rows, monic, as packed term dicts in the
-    same order.  An S-row term whose coefficient is 0 mod p is left out;
-    any other monomial missing from index raises KeyError.
+    same order.  A monomial missing from index raises KeyError, except
+    one that cancels in S(f, g): that S-row is packed from `_spoly_packed`
+    with its terms that are 0 mod p left out, as a replay needs.
     """
     ech = PackedEchelon(p, len(cols))
-    for k, (_, _, tail), shift in reducers:
+    pack, w = ech.pack, ech.width
+    at = {}  # column -> the record of its reducer row
+    for k, rec, shift in reducers:
         _check_deadline()
-        ech.pivots[k] = ech.pack((index[tm + shift], c) for tm, c in tail)
+        ech.pivots[k] = pack(rec[2], index, shift)
+        at[k] = rec
     leads = []
-    for s in spolys:
+    for rf, rg, L in spairs:
         _check_deadline()
-        k = ech.insert(ech.pack((index[m], c) for m, c in s.items() if c % p))
+        (lf, _, tf), (lg, _, tg), kL = rf, rg, index.get(L)
+        r = at.get(kL)
+        try:
+            if r is rf:
+                row = pack(tg, index, L - lg) + (1 << kL * w)
+            elif r is rg:
+                row = pack(tf, index, L - lf) + (1 << kL * w)
+            else:
+                row = pack(tf, index, L - lf) + (p - 1) * pack(tg, index, L - lg)
+        except KeyError:
+            s = _spoly_packed(rf, rg, L, p, guards)[0]
+            row = pack([(index[m], x) for m, c in s.items() if (x := c % p)])
+        k = ech.insert(row)
         if k is not None:
             leads.append(k)
     leads.sort(reverse=True)
-    stats.spairs_reduced += len(spolys)
-    stats.zero_reductions += len(spolys) - len(leads)
+    stats.spairs_reduced += len(spairs)
+    stats.zero_reductions += len(spairs) - len(leads)
     stats.matrices += 1
-    stats.matrix_rows += len(reducers) + len(spolys)
+    stats.matrix_rows += len(reducers) + len(spairs)
     stats.matrix_columns += len(cols)
     rows = []
     for k in leads:
@@ -538,7 +563,7 @@ def _certify(live, inputs, codec: _Codec, p: int) -> bool:
                 else:
                     border.add(m)
     D = len(basis)
-    cols, _, reducers = _preprocess([border], find, codec.guards)
+    cols, _, reducers = _preprocess(border, find, codec.guards)
     index = dict(slot)  # O first, then the other columns ascending
     for m in cols:
         index.setdefault(m, len(index))
@@ -552,7 +577,7 @@ def _certify(live, inputs, codec: _Codec, p: int) -> bool:
         tail = ech.reduce((index[tm + shift], c) for tm, c in tail)
         ech.pivots[index[cols[k]]] = ech.pack(tail)
         if cols[k] in border:
-            vec[cols[k]] = ech.pack((j, -c) for j, c in tail)
+            vec[cols[k]] = ech.pack((j, p - c) for j, c in tail)
     # per variable j: column k of M_j, x_j o_k's vector, and M_j as a
     # gather of the slots that x_j moves inside O (slot D reads as 0) plus
     # the columns on the border
@@ -607,10 +632,10 @@ def _certify(live, inputs, codec: _Codec, p: int) -> bool:
                 chain.append((m, j))
                 m -= steps[j]
             for m, j in reversed(chain):
-                vec[m] = ech.pack(ech.entries(times(j, vec[m - steps[j]])))
+                vec[m] = ech.pack_residues(ech.slots(times(j, vec[m - steps[j]])))
             acc += c * vec[m]
             if not k % D:  # keep the slots below 2 D products
-                acc = ech.pack(ech.entries(acc))
+                acc = ech.pack_residues(ech.slots(acc))
         if not vanishes(acc):
             return False
     return True
@@ -1092,22 +1117,25 @@ def _main_loop(inputs, codec: _Codec, mod, stats, key):
         batch = sorted(q for q in queue if q[0] == first[0]) if mod else [first]
         # the first live generator, in index order, whose lead divides m
         find = _scan([prepared[i] for i in live], codec)
-        spolys = []
+        spairs = []
         for _, L, ij in batch:
-            spolys.append(_spoly_packed(prepared[ij[0]], prepared[ij[1]], L,
-                                        mod, guards)[0])
+            spairs.append((prepared[ij[0]], prepared[ij[1]], L))
             unqueue(ij)
         if mod:
-            cols, index, reducers = _preprocess(spolys, find, guards)
-            leads, new = _f4_matrix(spolys, cols, index, reducers, mod, stats)
+            # the matrix's monomials start from the pairs' shifted tails
+            cols, index, reducers = _preprocess(
+                (tm + L - lead for rf, rg, L in spairs
+                 for lead, _, tail in (rf, rg) for tm, _ in tail), find, guards)
+            leads, new = _f4_matrix(spairs, cols, index, reducers, mod, stats,
+                                    guards)
             if learned is not None:
                 gen = {prepared[i][0]: i for i in live}
                 learned.append((tuple((i, j, L) for _, L, (i, j) in batch),
                                 tuple((k, gen[r[0]], s) for k, r, s in reducers),
                                 cols, index, leads))
         else:
-            new = [h for h in (_nf_packed(s, find, mod, guards)[0]
-                               for s in spolys) if h]
+            s = _spoly_packed(*spairs[0], mod, guards)[0]
+            new = [h for h in (_nf_packed(s, find, mod, guards)[0],) if h]
             for h in new:
                 _make_primitive(h)
             stats.spairs_reduced += 1
@@ -1148,12 +1176,13 @@ def _replay(inputs, record, p: int, codec: _Codec, stats):
     record was made.
 
     Returns the live generators, or None at the first matrix that leaves
-    the record: a monomial outside its columns, or new leading columns
-    other than the recorded ones (a constant row among them, as no
-    recorded run has one).  Pairs and reducers depend only on the leading
-    monomials, so a replay that returns reduces each S-row by the same
-    reducer rows as the full run would, and gives the same generators;
-    its matrices may hold other rows and columns, which no row reaches.
+    the record: a term outside its columns that does not cancel, or new
+    leading columns other than the recorded ones (a constant row among
+    them, as no recorded run has one).  Pairs and reducers depend only
+    on the leading monomials, so a replay that returns reduces each
+    S-row by the same reducer rows as the full run would, and gives the
+    same generators; its matrices may hold other rows and columns, which
+    no row reaches.
     A record that a certificate ended is certified again on these
     inputs, and a refusal returns None too.
     """
@@ -1163,11 +1192,10 @@ def _replay(inputs, record, p: int, codec: _Codec, stats):
     polys = {t: d for t, d in enumerate(inputs) if t in live}
     t = len(inputs)
     for pairs, reducers, cols, index, leads, free in matrices:
-        spolys = [_spoly_packed(prepared[i], prepared[j], L, p, guards)[0]
-                  for i, j, L in pairs]
+        spairs = [(prepared[i], prepared[j], L) for i, j, L in pairs]
         rows = [(k, prepared[g], shift) for k, g, shift in reducers]
         try:
-            got, new = _f4_matrix(spolys, cols, index, rows, p, stats)
+            got, new = _f4_matrix(spairs, cols, index, rows, p, stats, guards)
         except KeyError:  # a monomial outside the recorded columns
             return None
         if got != leads:

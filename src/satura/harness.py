@@ -26,6 +26,11 @@ from .saturate import (compute_gi, draw_parameters, saturated_leading_ideal,
 
 SCHEMA_VERSION = 1
 
+# the GroebnerStats counters a trial report sums over its value trials
+ENGINE_COUNTERS = ("pairs_created", "pairs_pruned_new", "pairs_pruned_chain",
+                   "pairs_certified", "spairs_reduced", "zero_reductions",
+                   "matrices", "matrix_rows", "matrix_columns", "certificates")
+
 # known counts per (problem, i); trials measure agreement with these
 REFERENCE_VALUES = {
     "alt": {7: 7, 6: 43, 5: 234, 4: 1108, 3: 3832, 2: 8716, 1: 10858, 0: 8652},
@@ -78,23 +83,27 @@ def run_capped(fn, timeout_s) -> Outcome:
     return Outcome(kind, None, time.perf_counter() - start, message)
 
 
-def _gi(inst, i: int, p: int, seed: int, trace=None) -> dict:
+def _gi(inst, i: int, p: int, seed: int) -> dict:
     """One g_i count over F_p: {"value"}, plus {"unit": True} for a unit ideal."""
-    r = compute_gi(inst, i, prime_field(p), seed, trace)
+    r = compute_gi(inst, i, prime_field(p), seed)
     return {"value": r.value, **({"unit": True} if r.unit else {})}
 
 
 def _run_one(payload, trace):
     """One trial, exception-proof; runs in a worker process or inline.
-    "trace" says how the F4 trace served a basis that was finished."""
+    "trace" says how the F4 trace served a basis that was finished, and
+    "engine" holds a value trial's `ENGINE_COUNTERS`."""
     inst, i, p, seed, timeout_s = payload
-    out = run_capped(lambda: _gi(inst, i, p, seed, trace), timeout_s)
-    kind, value = out.kind, None
+    out = run_capped(
+        lambda: compute_gi(inst, i, prime_field(p), seed, trace), timeout_s)
+    kind, value, engine = out.kind, None, None
     if kind == "ok":
-        kind = "unit" if out.result.get("unit") else "value"
-        value = out.result["value"]
+        kind = "unit" if out.result.unit else "value"
+        value = out.result.value
+        if not out.result.unit:
+            engine = [getattr(out.result.stats, c) for c in ENGINE_COUNTERS]
     return {"kind": kind, "value": value, "elapsed": out.elapsed,
-            "message": out.message,
+            "message": out.message, "engine": engine,
             "trace": trace.last if out.kind in ("ok", "degenerate") else None}
 
 
@@ -123,6 +132,7 @@ class TrialReport:
     histogram: dict            # bucket -> count
     errors: dict               # message of an "error" trial -> count
     trace: dict                # learned/replayed/fallback -> trial bases
+    engine: dict               # ENGINE_COUNTERS summed over value trials
     wall_time: float
     time_stats: dict           # min/max/mean/median over per-trial seconds
 
@@ -148,6 +158,7 @@ class TrialReport:
             "histogram": dict(sorted(self.histogram.items())),
             "errors": dict(sorted(self.errors.items())),
             "trace": dict(sorted(self.trace.items())),
+            "engine": self.engine,
             "wall_time": self.wall_time,
             "time_stats": self.time_stats,
         }
@@ -164,7 +175,7 @@ class TrialReport:
                     "seed", "reference", "reference_source", "successes",
                     "success_fraction", "wall_time"):
             w.writerow([key, d[key]])
-        for part in ("histogram", "errors", "trace", "time_stats"):
+        for part in ("histogram", "errors", "trace", "engine", "time_stats"):
             for key, v in d[part].items():
                 w.writerow([f"{part}:{key}", v])
         return buf.getvalue()
@@ -207,6 +218,7 @@ def run_trials(problem, i: int, p: int, trials: int, seed: int,
 
     histogram, errors = {}, {}
     traced = dict.fromkeys(("learned", "replayed", "fallback"), 0)
+    engine = dict.fromkeys(ENGINE_COUNTERS, 0)
     times = []
     for out in outcomes:
         bucket = str(out["value"]) if out["kind"] == "value" else out["kind"]
@@ -215,6 +227,8 @@ def run_trials(problem, i: int, p: int, trials: int, seed: int,
             errors[out["message"]] = errors.get(out["message"], 0) + 1
         if out["trace"]:
             traced[out["trace"]] += 1
+        for c, n in zip(ENGINE_COUNTERS, out["engine"] or ()):
+            engine[c] += n
         times.append(out["elapsed"])
 
     source = "explicit"
@@ -228,7 +242,7 @@ def run_trials(problem, i: int, p: int, trials: int, seed: int,
             reference = max(sorted(value_buckets), key=lambda k: value_buckets[k])
     successes = histogram.get(str(reference), 0) if reference is not None else 0
     return TrialReport(problem.name, i, p, trials, seed, reference, source,
-                       successes, histogram, errors, traced, wall,
+                       successes, histogram, errors, traced, engine, wall,
                        _summary(times))
 
 

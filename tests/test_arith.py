@@ -1,4 +1,5 @@
 import random
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -161,3 +162,30 @@ def test_packed_echelon_long_chains_match_dict_echelon(p):
     assert insert({j: c for j, c in combo.items() if c}) is None
     for k, piv in ref.items():
         assert dict(ech.entries(ech.pivots[k])) | {k: 1} == piv
+
+
+@pytest.mark.parametrize("p", (2, 251, 32771, 1073741789, 2 ** 62 - 57))
+def test_slots_and_entries_match_a_per_slot_decode(p):
+    # one prime per item code (B, H, I, Q); the column count sets the
+    # slot width and so q, the items per slot; slots near 2^width are as
+    # unreduced as a row in the echelon gets
+    rng = random.Random(p)
+    qs = set()
+    for ncols in (1, 2, 9, 300, 70000, 1 << 24):
+        ech = PackedEchelon(p, ncols)
+        assert ech.nbytes == ech.q * array(ech.code).itemsize
+        qs.add(ech.q)
+        w = ech.width
+        top = (1 << w) - 1
+        for _ in range(20):
+            n = rng.randrange(1, 30)
+            vals = [rng.choice((0, p, p * rng.randrange(1 << w - p.bit_length()),
+                                top - rng.randrange(min(top, 1 << 12)),
+                                rng.randrange(top)))
+                    for _ in range(n)]
+            row = sum(v << k * w for k, v in enumerate(vals))
+            ref = [(row >> k * w) % (1 << w) % p
+                   for k in range(-(-row.bit_length() // w))]
+            assert ech.slots(row) == ref
+            assert ech.entries(row) == [(k, c) for k, c in enumerate(ref) if c]
+    assert len(qs) > 1 and (p != 2 or 1 in qs)

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from satura import groebner
-from satura.arith import QQ, prime_field
+from satura.arith import QQ, PackedEchelon, prime_field
 from satura.groebner import (F4Trace, GroebnerBasis, NotZeroDimensional,
                              _Codec, buchberger, deadline, ideal_degree,
                              is_zero_dimensional, normal_form, quotient_basis,
@@ -454,6 +454,88 @@ def test_f4_bases_match_textbook_buchberger(p, order):
         matrices += gb.stats.matrices
     assert matrices > 0
 
+
+
+def s_row_shape(rf, rg, L, reducers, index):
+    """How `_f4_matrix` builds the S-row of the pair (rf, rg) at lcm L:
+    from g's half when the reducer row of L's column is f's ("f"), from
+    f's half when it is g's ("g"), else from both tails ("neither")."""
+    r = {k: rec for k, rec, _ in reducers}.get(index.get(L))
+    return "f" if r is rf else "g" if r is rg else "neither"
+
+
+@pytest.mark.parametrize("p", (5, 32003, 2 ** 61 - 1))
+def test_f4_s_rows_match_inserted_s_polynomials(p):
+    # the leads and rows of _f4_matrix, which builds each S-row from the
+    # pair's halves, against inserting each pair's S-polynomial, packed,
+    # into an echelon with the same reducer rows; each lcm column takes
+    # a random reducer among the records whose lead divides it (or is
+    # left out), so all three shapes of S-row turn up
+    rng = random.Random(p)
+    R = PolyRing(("x", "y", "z"), prime_field(p))
+    codec = groebner._codec(3, "grevlex", 8)
+    guards = codec.guards
+    leads = ((2, 1, 0), (1, 2, 0), (1, 1, 1), (0, 2, 1), (2, 0, 1))
+    shapes = Counter()
+    for _ in range(30):
+        recs = []
+        for lm in rng.sample(leads, 4):  # tails of degree <= 2 stay below
+            tail = [(tuple(rng.randrange(3) for _ in range(3)), rng.randrange(p))
+                    for _ in range(6)]
+            recs.append(groebner._reducer(R.poly([(lm, 1)] + [
+                t for t in tail if sum(t[0]) <= 2]), codec, p))
+        spairs = [(rf, rg, codec.pack(mono_lcm(codec.unpack(rf[0]),
+                                                codec.unpack(rg[0]))))
+                  for a, rf in enumerate(recs) for rg in recs[a + 1:]]
+        start = {tm + L - lead for rf, rg, L in spairs
+                 for lead, _, tail in (rf, rg) for tm, _ in tail}
+        start.update(L for _, _, L in spairs if rng.random() < 0.8)
+        choice = {}
+
+        def find(m):
+            if m not in choice:
+                e = codec.unpack(m)
+                hits = [r for r in recs if mono_divides(codec.unpack(r[0]), e)]
+                choice[m] = rng.choice(hits) if hits else None
+            return choice[m]
+
+        cols, index, reducers = groebner._preprocess(start, find, guards)
+        got = groebner._f4_matrix(spairs, cols, index, reducers, p,
+                                  groebner.GroebnerStats(), guards)
+        ech = PackedEchelon(p, len(cols))
+        for k, (_, _, tail), shift in reducers:
+            ech.pivots[k] = ech.pack(tail, index, shift)
+        want = []
+        for rf, rg, L in spairs:
+            shapes[s_row_shape(rf, rg, L, reducers, index)] += 1
+            s, _ = groebner._spoly_packed(rf, rg, L, p, guards)
+            k = ech.insert(ech.pack([(index[m], c % p)
+                                     for m, c in s.items() if c % p]))
+            if k is not None:
+                want.append(k)
+        want.sort(reverse=True)
+        assert got == (want, [{cols[j]: c for j, c in ech.entries(ech.pivots[k])}
+                              | {cols[k]: 1} for k in want])
+    assert shapes["f"] and shapes["g"] and shapes["neither"]
+
+
+@pytest.mark.parametrize("p", (5, 32003, 2 ** 61 - 1))
+def test_f4_bases_from_s_row_halves_verify(p, monkeypatch):
+    shapes, f4_matrix = Counter(), groebner._f4_matrix
+
+    def spy(spairs, cols, index, reducers, *rest):
+        for rf, rg, L in spairs:
+            shapes[s_row_shape(rf, rg, L, reducers, index)] += 1
+        return f4_matrix(spairs, cols, index, reducers, *rest)
+    monkeypatch.setattr(groebner, "_f4_matrix", spy)
+    rng = random.Random(p + 1)
+    R = PolyRing(("x", "y", "z"), prime_field(p))
+    for _ in range(12):
+        gens = [g for g in (random_field_poly(R, rng, max_deg=2)
+                            for _ in range(3)) if not g.is_zero()]
+        if gens:
+            assert verify_groebner(buchberger(gens), gens)
+    assert shapes["f"] and shapes["g"] and shapes["neither"], shapes
 
 def test_rational_reducers_not_monic_or_primitive():
     # normal forms and S-polynomials against reducers with content,

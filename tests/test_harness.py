@@ -9,9 +9,9 @@ import pytest
 
 from satura.arith import QQ, prime_field
 from satura.groebner import F4Trace
-from satura.harness import (REFERENCE_VALUES, CellTable, TrialReport,
-                            default_threads, gi_table, hilbert_table,
-                            run_capped, run_trials)
+from satura.harness import (ENGINE_COUNTERS, REFERENCE_VALUES, CellTable,
+                            TrialReport, default_threads, gi_table,
+                            hilbert_table, run_capped, run_trials)
 from satura.problems import (ProblemInstance, alt_system,
                              conics_affine_system, example_monomial_system,
                              get_problem)
@@ -167,6 +167,29 @@ def test_trial_report_counts_trace_use():
         assert rep.trace == trace and rep.to_dict()["trace"] == trace
         rows = dict(csv.reader(io.StringIO(rep.to_csv())))
         assert {k: int(rows[f"trace:{k}"]) for k in trace} == trace
+
+
+
+def test_trial_report_sums_engine_counters():
+    # a serial batch sums the counters of compute_gi at the trial seeds;
+    # its replays count the record's matrix rows and columns, which a
+    # full run may not share, so those match a run through one trace
+    alt, F = alt_system(), prime_field(32771)
+    rep = run_trials(alt, 6, 32771, 3, seed=2024, threads=1)
+    assert rep.histogram == {"43": 3} and rep.trace["replayed"] == 2
+    seeds = [split_seed(2024, t) for t in range(3)]
+    trace = F4Trace()
+
+    def summed(runs, skip=()):
+        return {c: sum(getattr(r.stats, c) for r in runs)
+                for c in ENGINE_COUNTERS if c not in skip}
+    assert summed([compute_gi(alt, 6, F, s, trace) for s in seeds]) == rep.engine
+    skip = ("matrix_rows", "matrix_columns")
+    assert summed([compute_gi(alt, 6, F, s) for s in seeds], skip) == {
+        c: n for c, n in rep.engine.items() if c not in skip}
+    assert rep.engine["matrices"] > 0 and rep.to_dict()["engine"] == rep.engine
+    rows = dict(csv.reader(io.StringIO(rep.to_csv())))
+    assert {c: int(rows[f"engine:{c}"]) for c in ENGINE_COUNTERS} == rep.engine
 
 
 def test_gi_table_values_and_checkpoint(tmp_path):
