@@ -17,7 +17,11 @@ which pack each coefficient into a fixed-width slot of one int so that
 a row update is one C-level multiply-add.  Over Q the batch is the one
 smallest pair, reduced fraction-free: F4 matrices over Q fill with
 coefficients of hundreds of thousands of bits in a remainder-sequence
-pattern, so the rational side keeps one pair at a time.
+pattern, so the rational side keeps one pair at a time.  In both
+fields a main-loop generator has one form, from its input to the end
+of the loop: the reducer record (lead, a, tail), tail descending.  A
+reduced echelon row leaves the matrix as a record read off its packed
+slots, and only the final interreduction rebuilds term dicts.
 
 The kernels take the field's modulus `mod` (p for F_p, None for Q) and
 do plain integer arithmetic.  Over F_p the normal form delays reduction:
@@ -71,7 +75,10 @@ leading monomial and all their rows vanish.  When a matrix adds a lead
 and the live leads hold a pure power of every variable, they leave D
 standard monomials O, and `_certify` tries the border basis criterion
 (Mourrain, AAECC-13, 1999; Kreuzer and Robbiano, Computational
-Commutative Algebra 2, 6.4).  One packed matrix reduces every border
+Commutative Algebra 2, 6.4).  O comes from `_walk`, breadth-first from
+1 by the variables, the one walk of the staircase: `standard_monomials`,
+and every count, quotient basis and Hilbert row built on it, reads it
+too.  One packed matrix reduces every border
 term x_j o outside O to O by full reduction (`PackedEchelon.reduce`),
 which gives multiplication matrices M_j of size D; if they commute and
 every main-loop input f has f(M) e_1 = 0, the live set is a Groebner
@@ -110,7 +117,7 @@ from math import gcd
 from operator import itemgetter, lshift, mul
 
 from .arith import PackedEchelon, primitive_scale
-from .poly import Polynomial, PolyRing, mono_divides, mono_lcm
+from .poly import Polynomial, PolyRing, mono_lcm
 
 
 class NotZeroDimensional(ValueError):
@@ -488,10 +495,11 @@ def _f4_matrix(spairs, cols, index, reducers, p: int, stats, guards: int):
     would.
 
     Returns the leading columns of the rows that do not vanish, in
-    descending order, and those rows, monic, as packed term dicts in the
-    same order.  A monomial missing from index raises KeyError, except
-    one that cancels in S(f, g): that S-row is packed from `_spoly_packed`
-    with its terms that are 0 mod p left out, as a replay needs.
+    descending order, and those rows, monic, as reducer records
+    (cols[k], 1, tail) in the same order, each tail read off the echelon.
+    A monomial missing from index raises KeyError, except one that
+    cancels in S(f, g): that S-row is packed from `_spoly_packed` with its
+    terms that are 0 mod p left out, as a replay needs.
     """
     ech = PackedEchelon(p, len(cols))
     pack, w = ech.pack, ech.width
@@ -524,18 +532,42 @@ def _f4_matrix(spairs, cols, index, reducers, p: int, stats, guards: int):
     stats.matrices += 1
     stats.matrix_rows += len(reducers) + len(spairs)
     stats.matrix_columns += len(cols)
-    rows = []
-    for k in leads:
-        h = {cols[j]: c for j, c in ech.entries(ech.pivots[k])}
-        h[cols[k]] = 1
-        rows.append(h)
-    return leads, rows
+    return leads, [(cols[k], 1, tuple((cols[j], c) for j, c in
+                                      reversed(ech.entries(ech.pivots[k]))))
+                   for k in leads]
+
+
+def _walk(find, codec: _Codec, d_max):
+    """The standard monomials O of the leads that find searches, walked
+    breadth-first from 1 by the variables up to degree d_max (None: no
+    cap, which needs finitely many of them).
+
+    Returns (O, border, steps): O as a dict from each monomial to its
+    place in the walk, which runs by degree; the border, the x_j o
+    outside O of the o in O below degree d_max; and steps, where adding
+    steps[j] to a packed monomial multiplies it by x_j.
+    """
+    steps = [codec.pack(tuple(int(j == k) for k in range(codec.n))) - codec.one
+             for j in range(codec.n)]
+    O, border, layer, d = {}, set(), [codec.one], 0
+    while layer and (d_max is None or d <= d_max):
+        for m in layer:
+            if find(m) is None:
+                O[m] = len(O)
+            else:
+                border.add(m)
+        # the next degree's candidates, in the order the walk meets them
+        layer = list(dict.fromkeys(o + s for o in layer if o in O
+                                   for s in steps))
+        d += 1
+    return O, border, steps
 
 
 def _certify(live, inputs, codec: _Codec, p: int) -> bool:
     """Border basis certificate over F_p: whether the live generators,
     given as reducer records in index order, whose leads hold a pure
-    power of every variable, are a Groebner basis of the inputs' ideal.
+    power of every variable, are a Groebner basis of the ideal of the
+    inputs, given as monic reducer records.
 
     O is the set of standard monomials of the live leads, D of them, and
     the border the x_j o outside O.  One packed matrix reduces every
@@ -550,19 +582,8 @@ def _certify(live, inputs, codec: _Codec, p: int) -> bool:
     x_i o and x_j o both lie in O, so only the other columns are checked.
     """
     find, n = _scan(live, codec), codec.n
-    steps = [codec.pack(tuple(int(j == k) for k in range(n))) - codec.one
-             for j in range(n)]
-    slot, basis, border = {codec.one: 0}, [codec.one], set()
-    for o in basis:  # O grows from 1 by the variables
-        for s in steps:
-            m = o + s
-            if m not in slot and m not in border:
-                if find(m) is None:
-                    slot[m] = len(basis)
-                    basis.append(m)
-                else:
-                    border.add(m)
-    D = len(basis)
+    slot, border, steps = _walk(find, codec, None)
+    basis, D = list(slot), len(slot)
     cols, _, reducers = _preprocess(border, find, codec.guards)
     index = dict(slot)  # O first, then the other columns ascending
     for m in cols:
@@ -622,10 +643,10 @@ def _certify(live, inputs, codec: _Codec, p: int) -> bool:
                     if not vanishes(left + K - right):
                         return False
 
-    for f in inputs:
+    for lead, _, tail in inputs:
         _check_deadline()
         acc = 0
-        for k, (m, c) in enumerate(f.items(), 1):
+        for k, (m, c) in enumerate(((lead, 1),) + tail, 1):
             chain = []
             while m not in vec:  # m(M) e_1 is M_j applied to (m / x_j)(M) e_1
                 j = next(j for j, e in enumerate(codec.unpack(m)) if e)
@@ -904,9 +925,10 @@ def _main_phase(pack, ring: PolyRing, width: int, trace):
 
     Returns (stats, main, record).  main is None for the unit ideal, else
     (live, linear, keep, codec): the live generators at the end of the
-    main loop, packed by codec in the variables keep, and the set-aside
-    linear generators, packed in all variables.  record is the F4 record
-    a full run learned for the trace, else None.
+    main loop, as reducer records packed by codec in the variables keep,
+    and the set-aside linear generators, as term dicts packed in all
+    variables.  record is the F4 record a full run learned for the trace,
+    else None.
     """
     mod = ring.field.p
     n, order = ring.nvars, ring.order.name
@@ -940,13 +962,13 @@ def _main_phase(pack, ring: PolyRing, width: int, trace):
         for p, c in d.items():
             e = full.unpack(p)
             restricted[codec.pack([e[j] for j in keep])] = c
-        inputs.append(restricted)
+        inputs.append(_prepare(restricted, mod))
 
     # with a trace over F_p, replay its record when the main loop starts
     # from the same leading monomials, else run in full and record
     key = live = record = None
     if trace is not None and mod:
-        key = (order, width, keep, tuple(max(d) for d in inputs))
+        key = (order, width, keep, tuple(r[0] for r in inputs))
         old = trace.record
         if old is not None and old[0] == key:
             counted = replace(stats)
@@ -981,9 +1003,12 @@ def _reduced_basis(ring: PolyRing, stats, main) -> GroebnerBasis:
     full = _codec(ring.nvars, ring.order.name, stats.width)
     # interreduce the live generators in the remaining variables and lift
     # them back to all; their terms hold no leading variable of a linear
-    # generator, so only the linear generators' tails need reducing
+    # generator, so only the linear generators' tails need reducing.  A
+    # record's a is its lead coefficient: the F_p records are monic
+    work = [dict(((lead, a),) + tail)
+            for lead, a, tail in sorted(live, key=itemgetter(0))]
     final = [{_lift(p, keep, codec, full): c for p, c in d.items()}
-             for d in _autoreduce(sorted(live, key=max), mod, codec)]
+             for d in _autoreduce(work, mod, codec)]
     find = _scan([_prepare(h, mod) for h in final], full)
     final += [_nf_packed(d, find, mod, full.guards)[0] for d in linear]
     for h in final:
@@ -1005,35 +1030,36 @@ def _leads(ring: PolyRing, stats, main) -> LeadingIdeal:
     live, linear, keep, codec = main
     full = _codec(n, ring.order.name, stats.width)
     leads = [max(d) for d in linear]
-    leads += [_lift(max(d), keep, codec, full) for d in live]
+    leads += [_lift(r[0], keep, codec, full) for r in live]
     return LeadingIdeal(ring, tuple(full.unpack(p) for p in sorted(leads)),
                         stats)
 
 
 def _main_loop(inputs, codec: _Codec, mod, stats, key):
-    """Buchberger's main loop from the packed inputs, in input order.
+    """Buchberger's main loop from the inputs, reducer records in input
+    order.
 
-    Returns (live, record): the live generators at the end, or None for
-    the unit ideal, and with a key (F_p only) the run's record for an
-    `F4Trace`, else None.  The record is (key, matrices, final live
-    indices, pair and certificate counters); a matrix is (pairs as
-    (i, j, lcm), reducers as (column, generator index, shift), columns,
-    column index, new leading columns, generators whose reducer record
-    it dropped).  Generators are numbered in the order they are added.
-    Over F_p in a degree order the loop also ends when `_certify`
+    Returns (live, record): the records of the live generators at the
+    end, or None for the unit ideal, and with a key (F_p only) the run's
+    record for an `F4Trace`, else None.  The record is (key, matrices,
+    final live indices, pair and certificate counters); a matrix is
+    (pairs as (i, j, lcm), reducers as (column, generator index, shift),
+    columns, column index, new leading columns, generators whose reducer
+    record it dropped).  Generators are numbered in the order they are
+    added.  Over F_p in a degree order the loop also ends when `_certify`
     proves the live set a Groebner basis.
     """
     guards, sign, one = codec.guards, codec.sign, codec.one
     learned = None if key is None else []
 
-    # A generator's dict is kept while it is live, its reducer record
-    # while it is live or a queued pair names it.
-    polys = {}      # index -> packed dict
+    # A generator's reducer record is kept while it is live or a queued
+    # pair names it.
     prepared = {}   # index -> reducer record
     npairs = []     # index -> number of queued pairs naming it
     keys = []       # sign * leading monomial, for the divisibility test
     lm_tuples = []
     live = []       # ascending indices forming the current minimal working basis
+    alive = set()   # the indices in live
     pairs = {}      # (i, j) -> (lcm degree, packed lcm)
     pure = set()    # variables with a pure power among the live leads
 
@@ -1041,13 +1067,11 @@ def _main_loop(inputs, codec: _Codec, mod, stats, key):
         del pairs[ij]
         for k in ij:
             npairs[k] -= 1
-            if not npairs[k] and k not in polys:
+            if not npairs[k] and k not in alive:
                 del prepared[k]
 
-    def add_generator(d: dict):
+    def add_generator(rec):
         t = len(keys)
-        polys[t] = d
-        rec = _prepare(d, mod)
         prepared[t] = rec
         npairs.append(0)
         lt_packed = rec[0]
@@ -1097,14 +1121,15 @@ def _main_loop(inputs, codec: _Codec, mod, stats, key):
             if (kt - keys[i]) & guards:
                 stay.append(i)
             else:  # the new leading monomial divides i's: i leaves
-                del polys[i]
+                alive.discard(i)
                 if not npairs[i]:
                     del prepared[i]
         live[:] = stay
         live.append(t)
+        alive.add(t)
 
-    for d in inputs:
-        add_generator(d)
+    for rec in inputs:
+        add_generator(rec)
 
     while pairs:
         _check_deadline()
@@ -1134,18 +1159,19 @@ def _main_loop(inputs, codec: _Codec, mod, stats, key):
                                 tuple((k, gen[r[0]], s) for k, r, s in reducers),
                                 cols, index, leads))
         else:
-            s = _spoly_packed(*spairs[0], mod, guards)[0]
-            new = [h for h in (_nf_packed(s, find, mod, guards)[0],) if h]
-            for h in new:
+            h = _nf_packed(_spoly_packed(*spairs[0], mod, guards)[0], find,
+                           mod, guards)[0]
+            if h:
                 _make_primitive(h)
+            new = [_prepare(h, mod)] if h else []
             stats.spairs_reduced += 1
             stats.zero_reductions += not new
         # largest leading monomial first (F4 returns them so, monic): a
         # later one that divides it drops it from the live set
-        for h in new:
-            if max(h) == one:
+        for rec in new:
+            if rec[0] == one:
                 return None, None
-            add_generator(h)
+            add_generator(rec)
         if learned is not None:
             # a replay drops the reducer records this matrix dropped, also
             # those of generators it added
@@ -1165,7 +1191,7 @@ def _main_loop(inputs, codec: _Codec, mod, stats, key):
         record = (key, tuple(learned), tuple(live), (
             stats.pairs_created, stats.pairs_pruned_new, stats.pairs_pruned_chain,
             stats.pairs_certified, stats.certificates))
-    return [polys[k] for k in live], record
+    return [prepared[k] for k in live], record
 
 
 def _replay(inputs, record, p: int, codec: _Codec, stats):
@@ -1175,10 +1201,10 @@ def _replay(inputs, record, p: int, codec: _Codec, stats):
     search.  Every S-row is kept, including those that vanished when the
     record was made.
 
-    Returns the live generators, or None at the first matrix that leaves
-    the record: a term outside its columns that does not cancel, or new
-    leading columns other than the recorded ones (a constant row among
-    them, as no recorded run has one).  Pairs and reducers depend only
+    Returns the records of the live generators, or None at the first
+    matrix that leaves the record: a term outside its columns that does
+    not cancel, or new leading columns other than the recorded ones (a
+    constant row among them, as no recorded run has one).  Pairs and reducers depend only
     on the leading monomials, so a replay that returns reduces each
     S-row by the same reducer rows as the full run would, and gives the
     same generators; its matrices may hold other rows and columns, which
@@ -1188,8 +1214,7 @@ def _replay(inputs, record, p: int, codec: _Codec, stats):
     """
     _, matrices, live, counts = record
     guards = codec.guards
-    prepared = {t: _prepare(d, p) for t, d in enumerate(inputs)}
-    polys = {t: d for t, d in enumerate(inputs) if t in live}
+    prepared = dict(enumerate(inputs))
     t = len(inputs)
     for pairs, reducers, cols, index, leads, free in matrices:
         spairs = [(prepared[i], prepared[j], L) for i, j, L in pairs]
@@ -1200,18 +1225,15 @@ def _replay(inputs, record, p: int, codec: _Codec, stats):
             return None
         if got != leads:
             return None
-        for h in new:
-            prepared[t] = _prepare(h, p)
-            if t in live:
-                polys[t] = h
-            t += 1
+        prepared.update(enumerate(new, t))
+        t += len(new)
         for g in free:
             del prepared[g]
     if counts[3] and not _certify([prepared[k] for k in live], inputs, codec, p):
         return None
     (stats.pairs_created, stats.pairs_pruned_new, stats.pairs_pruned_chain,
      stats.pairs_certified, stats.certificates) = counts
-    return [polys[k] for k in live]
+    return [prepared[k] for k in live]
 
 
 def _autoreduce(work, mod, codec: _Codec):
@@ -1266,63 +1288,33 @@ def is_zero_dimensional(basis) -> bool:
 
 def standard_monomials(basis, d_max) -> list:
     """Exponent tuples outside the leading-term ideal of a `GroebnerBasis`
-    or a `LeadingIdeal`, of total degree at most d_max; d_max None lifts
-    the cap, which needs a zero-dimensional basis to terminate.
-
-    Standard monomials form a downward-closed set, so the depth-first
-    search prunes a whole subtree as soon as one leading monomial divides
-    the current partial exponent vector.  A variable that is itself a
-    leading monomial has exponent 0 in every standard monomial: the
-    search leaves it out, with every leading monomial that contains it.
+    or a `LeadingIdeal`, of total degree at most d_max, in ascending order
+    of the ring; d_max None lifts the cap, which needs a zero-dimensional
+    basis to terminate.  The leads are packed with 16-bit exponent fields
+    and walked as `_certify` walks them.  Raises OverflowError when a
+    leading exponent or d_max passes 2^15 - 1.
     """
-    lms = basis.leading_monomials
-    n = basis.ring.nvars
-    fixed = {m.index(1) for m in lms if sum(m) == 1}
-    free = [j for j in range(n) if j not in fixed]
-    lms = [[m[j] for j in free] for m in lms
-           if not any(m[j] for j in fixed)]
-    found = []
-    exps = [0] * len(free)
-    full = [0] * n
-
-    def visit(k, total):
-        if k == len(free):
-            for j, e in zip(free, exps):
-                full[j] = e
-            found.append(tuple(full))
-            return
-        e = 0
-        while d_max is None or total + e <= d_max:
-            exps[k] = e
-            if any(mono_divides(lm, exps) for lm in lms):
-                break
-            visit(k + 1, total + e)
-            e += 1
-        exps[k] = 0
-
-    # mono_divides compares pairwise; lists work as well as tuples
-    visit(0, 0)
-    return found
-
-
-def _all_standard_monomials(basis) -> list:
-    if not is_zero_dimensional(basis):
-        raise NotZeroDimensional(
-            "the leading-term ideal lacks a pure power in some variable")
-    return standard_monomials(basis, None)
+    codec = _codec_for(basis.ring)
+    if d_max is not None and d_max > codec.cap:
+        raise OverflowError(f"degree {d_max} exceeds packing width")
+    find = _scan([(codec.pack(m),) for m in basis.leading_monomials], codec)
+    return [codec.unpack(m) for m in sorted(_walk(find, codec, d_max)[0])]
 
 
 def quotient_basis(basis) -> list:
     """Standard monomials (exponent tuples, ascending order) of a
     zero-dimensional `GroebnerBasis` or `LeadingIdeal`; these span the
     quotient as a vector space."""
-    return sorted(_all_standard_monomials(basis), key=basis.ring.key)
+    if not is_zero_dimensional(basis):
+        raise NotZeroDimensional(
+            "the leading-term ideal lacks a pure power in some variable")
+    return standard_monomials(basis, None)
 
 
 def ideal_degree(basis) -> int:
     """Vector-space dimension of the quotient ring of a `GroebnerBasis` or
     a `LeadingIdeal`; 0 for the unit ideal."""
-    return len(_all_standard_monomials(basis))
+    return len(quotient_basis(basis))
 
 
 def verify_groebner(basis, gens=None) -> bool:

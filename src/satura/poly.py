@@ -82,11 +82,6 @@ def mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(x + y for x, y in zip(a, b))
 
 
-def mono_divides(a: Monomial, b: Monomial) -> bool:
-    """True when a divides b."""
-    return all(x <= y for x, y in zip(a, b))
-
-
 def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
     return tuple(map(max, a, b))
 

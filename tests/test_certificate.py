@@ -3,8 +3,9 @@
 `groebner._certify` proves the live set final once its leads leave
 finitely many standard monomials.  The tests compare every result with
 the full main loop (the certificate made to refuse), check that each of
-its two conditions refuses on its own, and that a cap passing inside it
-is a timeout.
+its two conditions refuses on its own, that the standard monomials it
+accepts are those the counts read, and that a cap passing inside it is
+a timeout.
 """
 
 import random
@@ -14,7 +15,7 @@ import pytest
 
 from satura import groebner
 from satura.arith import prime_field
-from satura.groebner import F4Trace, buchberger, leading_ideal
+from satura.groebner import F4Trace, buchberger, ideal_degree, leading_ideal
 from satura.harness import run_capped
 from satura.poly import GREVLEX, LEX, PolyRing
 from satura.problems import alt_system, conics_affine_system
@@ -72,13 +73,9 @@ def test_conics_cells_match_the_full_loop(monkeypatch):
     assert_full_loop_agrees(cases, monkeypatch)
 
 
-@pytest.mark.parametrize("p", (5, 32003, 2 ** 61 - 1))
-@pytest.mark.parametrize("order", (GREVLEX, LEX), ids=lambda o: o.name)
-def test_random_ideals_match_the_full_loop(p, order, monkeypatch):
-    # as many generators as variables on random supports, mostly
-    # zero-dimensional.  Lex never tries the certificate: its tails are
-    # not bounded by the lead's degree, so a border matrix can grow as
-    # large as the run
+def random_cases(p, order):
+    """Twelve ideals with as many generators as variables on random
+    supports, mostly zero-dimensional."""
     rng = random.Random(p + (order is LEX))
     names = ("x", "y") if order is LEX else ("x", "y", "z")
     R = PolyRing(names, prime_field(p), order)
@@ -88,8 +85,45 @@ def test_random_ideals_match_the_full_loop(p, order, monkeypatch):
                     for _ in names]
         cases.append([R.poly([(m, rng.randrange(1, p)) for m in support])
                       for support in supports])
-    certified = assert_full_loop_agrees(cases, monkeypatch)
+    return cases
+
+
+@pytest.mark.parametrize("p", (5, 32003, 2 ** 61 - 1))
+@pytest.mark.parametrize("order", (GREVLEX, LEX), ids=lambda o: o.name)
+def test_random_ideals_match_the_full_loop(p, order, monkeypatch):
+    # Lex never tries the certificate: its tails are not bounded by the
+    # lead's degree, so a border matrix can grow as large as the run
+    certified = assert_full_loop_agrees(random_cases(p, order), monkeypatch)
     assert certified >= 3 if order is GREVLEX else not certified
+
+
+def test_the_certificate_walks_the_staircase_that_is_counted(monkeypatch):
+    # the D standard monomials that a certificate accepted are those that
+    # ideal_degree counts on the leading ideal the run returns
+    walk, sizes = groebner._walk, []
+
+    def spy(*args):
+        found = walk(*args)
+        sizes.append(len(found[0]))
+        return found
+    monkeypatch.setattr(groebner, "_walk", spy)
+    alt, conics = alt_system(), conics_affine_system()
+    cases = [build_saturated_system(alt, draw_parameters(
+        i, alt.n, alt.r, prime_field(32771), 2024)).generators for i in (7, 6)]
+    cases += [build_saturated_system(conics, draw_parameters(
+        i, conics.n, conics.r, prime_field(32003), 2024)).generators
+        for i in range(6)]
+    for p in (5, 32003, 2 ** 61 - 1):
+        cases += random_cases(p, GREVLEX)
+    certified = []
+    for gens in cases:
+        sizes.clear()
+        li = leading_ideal(gens)
+        if li.stats.pairs_certified:
+            D = sizes[-1]
+            certified.append(D)
+            assert D == ideal_degree(li)
+    assert certified[:2] == [7, 43] and len(certified) >= 11
 
 
 def packed(ring, polys):
@@ -103,8 +137,8 @@ def packed(ring, polys):
 def certify(ring, live, inputs):
     (live, codec), (inputs, _) = packed(ring, live), packed(ring, inputs)
     p = ring.field.p
-    return groebner._certify([groebner._prepare(d, p) for d in live], inputs,
-                             codec, p)
+    return groebner._certify([groebner._prepare(d, p) for d in live],
+                             [groebner._prepare(d, p) for d in inputs], codec, p)
 
 
 R = PolyRing(("x", "y"), prime_field(32003))

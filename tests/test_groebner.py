@@ -11,8 +11,8 @@ from satura.arith import QQ, PackedEchelon, prime_field
 from satura.groebner import (F4Trace, GroebnerBasis, NotZeroDimensional,
                              _Codec, buchberger, deadline, ideal_degree,
                              is_zero_dimensional, normal_form, quotient_basis,
-                             s_polynomial, verify_groebner)
-from satura.poly import GREVLEX, LEX, PolyRing, mono_divides, mono_lcm
+                             s_polynomial, standard_monomials, verify_groebner)
+from satura.poly import GREVLEX, LEX, PolyRing, mono_lcm
 from satura.problems import alt_system, conics_affine_system
 from satura.saturate import compute_gi, split_seed
 
@@ -143,6 +143,21 @@ def test_quotient_basis_downward_closed():
                 assert m[:i] + (e - 1,) + m[i + 1:] in qset
 
 
+def test_standard_monomials_past_the_packing_width_raise():
+    # exponents pack into 16-bit fields whose top bit stays clear: a lead
+    # or a degree cap past 2^15 - 1 raises instead of walking into it
+    R = PolyRing(("x", "y"), prime_field(101))
+    cap = (1 << 15) - 1
+    gb = GroebnerBasis(R, (R.parse(f"x^{cap}"), R.parse("y")))
+    assert len(standard_monomials(gb, 2)) == 3
+    with pytest.raises(OverflowError):
+        standard_monomials(GroebnerBasis(R, (R.parse(f"x^{cap + 1}"),
+                                             R.parse("y"))), 2)
+    assert len(standard_monomials(gb, cap)) == cap
+    with pytest.raises(OverflowError):
+        standard_monomials(gb, cap + 1)
+
+
 def test_positive_dimension_rejected():
     R = PolyRing(("x", "y"), QQ)
     gb = buchberger([R.parse("x*y - 1")])
@@ -175,6 +190,11 @@ def test_verify_groebner_rejects():
         gb = buchberger(gens)
         assert verify_groebner(gb, gens)
         assert not verify_groebner(gb, gens + [R.parse("x")])
+
+
+def mono_divides(a, b):
+    """Whether a divides b."""
+    return all(x <= y for x, y in zip(a, b))
 
 
 def mono_div(a, b):
@@ -514,8 +534,9 @@ def test_f4_s_rows_match_inserted_s_polynomials(p):
             if k is not None:
                 want.append(k)
         want.sort(reverse=True)
-        assert got == (want, [{cols[j]: c for j, c in ech.entries(ech.pivots[k])}
-                              | {cols[k]: 1} for k in want])
+        assert got == (want, [groebner._prepare(
+            {cols[j]: c for j, c in ech.entries(ech.pivots[k])} | {cols[k]: 1}, p)
+            for k in want])
     assert shapes["f"] and shapes["g"] and shapes["neither"]
 
 

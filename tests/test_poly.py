@@ -5,7 +5,7 @@ import pytest
 
 from satura.arith import QQ, prime_field
 from satura.poly import (GREVLEX, LEX, ParseError, PolyRing, RingMismatch,
-                         UnknownVariable, mono_degree, mono_divides, mono_lcm,
+                         UnknownVariable, mono_degree, mono_lcm,
                          monomials_up_to_degree, order_from_name, polys_from_json, polys_to_json)
 
 
@@ -40,8 +40,6 @@ def test_order_comparisons():
 
 
 def test_monomial_helpers():
-    assert mono_divides((1, 0, 2), (2, 0, 2))
-    assert not mono_divides((1, 1, 0), (2, 0, 2))
     assert mono_lcm((1, 3), (2, 1)) == (2, 3)
     assert mono_degree((2, 0, 5)) == 7
 

@@ -444,13 +444,23 @@ def test_standard_monomials_skip_linear_leads():
                              R.parse("z^2 - 1")]))
     bases.append(GroebnerBasis(R, tuple(R.parse(t) for t in
                                         ("x + 1", "x*y^2", "y^3", "z^2"))))
+    # a lex basis, the unit ideal, and leads y^2, x*y, x^2 that leave z free
+    L = PolyRing(("x", "y", "z"), F32003, LEX)
+    bases.append(buchberger([L.parse("x^2 + y*z - 1"), L.parse("x*y - z^2"),
+                             L.parse("y^2 - x*z")]))
+    unit = buchberger([R.parse("x*y - 1"), R.parse("x")])
+    bases.append(unit)
+    bases.append(buchberger([R.parse("x*y - z"), R.parse("y^2 - x")]))
     linear_leads = 0
     for gb in bases:
         linear_leads += any(sum(m) == 1 for m in gb.leading_monomials)
-        for d_max in (0, 3):
-            assert (standard_monomials(gb, d_max)
-                    == reference_standard_monomials(gb, d_max))
+        caps = list(range(-1, 5))
         if is_zero_dimensional(gb):
-            assert (standard_monomials(gb, None)
-                    == reference_standard_monomials(gb, None))
+            caps.append(None)
+        for d_max in caps:
+            assert standard_monomials(gb, d_max) == sorted(
+                reference_standard_monomials(gb, d_max), key=gb.ring.key)
     assert linear_leads >= 8
+    assert unit.is_unit and standard_monomials(unit, None) == []
+    assert standard_monomials(bases[-1], -1) == []
+    assert not is_zero_dimensional(bases[-1])
